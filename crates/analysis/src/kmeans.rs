@@ -9,11 +9,13 @@
 //!   random draw comes from one `StdRng` seeded via
 //!   [`derive_seed`](dagfl_core::derive_seed), so initial centroids
 //!   depend only on the data and the seed, never on scheduling.
-//! * **Fixed iteration order** — points are assigned in index order and
+//! * **Fixed iteration order** — each point's assignment depends only on
+//!   that point and the centroids (so the assignment step may run on
+//!   any number of threads), distances are summed in element order, and
 //!   centroids are recomputed from members in index order (through
 //!   [`average_parameters`](dagfl_nn::average_parameters), the same
 //!   accumulation the training hot path uses), so float rounding is
-//!   identical run to run and at any `--jobs`.
+//!   identical run to run, at any `--jobs` and on any core count.
 //! * **Deterministic empty-cluster reseeding** — an emptied cluster is
 //!   re-anchored on the point farthest from its current centroid
 //!   (lowest index on ties) instead of a fresh random draw.
@@ -28,7 +30,8 @@ use rand::{Rng, SeedableRng};
 use dagfl_core::derive_seed;
 use dagfl_nn::average_parameters;
 
-use crate::metrics::silhouette_score;
+use crate::distance::{squared_distance, squared_distances_into, worker_count, DistanceMatrix};
+use crate::metrics::silhouette_from;
 
 /// Configuration of one deterministic k-means run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,31 +71,34 @@ pub struct KMeansResult {
     pub iterations: usize,
 }
 
-/// Squared Euclidean distance, accumulated in `f64` so long parameter
-/// vectors don't lose the low bits that break assignment ties.
-pub(crate) fn squared_distance(a: &[f32], b: &[f32]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let d = f64::from(x) - f64::from(y);
-            d * d
-        })
-        .sum()
-}
+/// Points scored together in the assignment step: one lane-batched pass
+/// per centroid covers the whole group, and a group's rows stay in cache
+/// across the centroids.
+const GROUP: usize = 16;
 
-/// Index of the nearest centroid (lowest index on exact ties).
-fn nearest(point: &[f32], centroids: &[Vec<f32>]) -> (usize, f64) {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (c, centroid) in centroids.iter().enumerate() {
-        let d = squared_distance(point, centroid);
-        if d < best_d {
-            best_d = d;
-            best = c;
+/// Writes the index of each point's nearest centroid into `nearest`
+/// (lowest index on exact ties). Centroids are visited in index order and
+/// a later one wins only on a strictly smaller distance, the same rule as
+/// a per-point scan; the lanes run across points, since a handful of
+/// centroids would leave most lanes idle.
+fn nearest_centroids(points: &[Vec<f32>], centroids: &[Vec<f32>], nearest: &mut [usize]) {
+    let mut best = [f64::INFINITY; GROUP];
+    let mut d = [0.0f64; GROUP];
+    for (group, nearest) in points.chunks(GROUP).zip(nearest.chunks_mut(GROUP)) {
+        let rows: Vec<&[f32]> = group.iter().map(Vec::as_slice).collect();
+        let (best, d) = (&mut best[..rows.len()], &mut d[..rows.len()]);
+        best.fill(f64::INFINITY);
+        nearest.fill(0);
+        for (c, centroid) in centroids.iter().enumerate() {
+            squared_distances_into(centroid, &rows, d);
+            for ((b, n), &dist) in best.iter_mut().zip(nearest.iter_mut()).zip(d.iter()) {
+                if dist < *b {
+                    *b = dist;
+                    *n = c;
+                }
+            }
         }
     }
-    (best, best_d)
 }
 
 /// k-means++ initial centroids (Arthur & Vassilvitskii 2007): the first
@@ -100,12 +106,26 @@ fn nearest(point: &[f32], centroids: &[Vec<f32>]) -> (usize, f64) {
 /// proportional to its squared distance from the nearest chosen centre.
 /// All draws come from the seed-derived RNG, so the choice is a pure
 /// function of `(points, k, seed)`.
+///
+/// Each point's distance to its nearest centre is kept as a running
+/// minimum updated against the newest centre only; a minimum does not
+/// depend on the order its candidates arrive in, so the draws match a
+/// full rescan of every centre exactly.
 fn plus_plus_init(points: &[Vec<f32>], k: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut rng = StdRng::seed_from_u64(derive_seed(seed, 0x4B4D_4541)); // "KMEA"
     let mut centroids: Vec<Vec<f32>> = Vec::with_capacity(k);
     centroids.push(points[rng.gen_range(0..points.len())].clone());
+    let point_refs: Vec<&[f32]> = points.iter().map(Vec::as_slice).collect();
+    let mut distances = vec![f64::INFINITY; points.len()];
+    let mut to_newest = vec![0.0f64; points.len()];
     while centroids.len() < k {
-        let distances: Vec<f64> = points.iter().map(|p| nearest(p, &centroids).1).collect();
+        let newest = centroids.last().expect("at least one centre");
+        squared_distances_into(newest, &point_refs, &mut to_newest);
+        for (best, &d) in distances.iter_mut().zip(&to_newest) {
+            if d < *best {
+                *best = d;
+            }
+        }
         let total: f64 = distances.iter().sum();
         let next = if total <= 0.0 {
             // All points coincide with a chosen centre; any index works
@@ -126,6 +146,41 @@ fn plus_plus_init(points: &[Vec<f32>], k: usize, seed: u64) -> Vec<Vec<f32>> {
         centroids.push(points[next].clone());
     }
     centroids
+}
+
+/// The assignment step: moves every point to its nearest centroid and
+/// reports whether any assignment changed. With `threads > 1` the points
+/// are split into contiguous chunks on scoped threads; each point's
+/// choice depends only on that point and the centroids, so the
+/// assignments are the same at any thread count.
+fn assign(
+    points: &[Vec<f32>],
+    centroids: &[Vec<f32>],
+    assignments: &mut [usize],
+    threads: usize,
+) -> bool {
+    let assign_chunk = |points: &[Vec<f32>], assignments: &mut [usize]| {
+        let mut nearest = vec![0usize; points.len()];
+        nearest_centroids(points, centroids, &mut nearest);
+        let changed = nearest != assignments;
+        assignments.copy_from_slice(&nearest);
+        changed
+    };
+    if threads <= 1 || points.len() < 2 {
+        return assign_chunk(points, assignments);
+    }
+    let chunk = points.len().div_ceil(threads);
+    let assign_chunk = &assign_chunk;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = points
+            .chunks(chunk)
+            .zip(assignments.chunks_mut(chunk))
+            .map(|(p, a)| scope.spawn(move || assign_chunk(p, a)))
+            .collect();
+        workers.into_iter().fold(false, |changed, worker| {
+            worker.join().expect("k-means assignment worker panicked") | changed
+        })
+    })
 }
 
 /// Runs seeded k-means over `points` and returns the assignment.
@@ -156,18 +211,11 @@ pub fn kmeans(points: &[Vec<f32>], config: &KMeansConfig) -> KMeansResult {
     }
     let mut centroids = plus_plus_init(points, k, config.seed);
     let mut assignments = vec![0usize; n];
+    let threads = worker_count(n * k * dim);
     let mut iterations = 0;
     for _ in 0..config.max_iterations.max(1) {
         iterations += 1;
-        // Assignment step, in index order.
-        let mut changed = false;
-        for (i, p) in points.iter().enumerate() {
-            let (c, _) = nearest(p, &centroids);
-            if assignments[i] != c {
-                assignments[i] = c;
-                changed = true;
-            }
-        }
+        let mut changed = assign(points, &centroids, &mut assignments, threads);
         // Deterministic empty-cluster reseeding: re-anchor each emptied
         // cluster on the point farthest from its own centroid (lowest
         // index on ties), then reassign that point.
@@ -227,22 +275,35 @@ pub fn kmeans(points: &[Vec<f32>], config: &KMeansConfig) -> KMeansResult {
 /// Picks `k` by a silhouette sweep: runs [`kmeans`] for every `k` in
 /// `min..=max` (clamped to the number of points) and returns the run
 /// with the highest silhouette score, preferring the smaller `k` on
-/// ties. Falls back to a single `k = min` run when the range collapses.
+/// ties. A range that collapses yields the single `k = min` run.
 pub fn auto_k(points: &[Vec<f32>], min: usize, max: usize, config: &KMeansConfig) -> KMeansResult {
+    auto_k_scored(points, min, max, config).0
+}
+
+/// [`auto_k`], also returning the winner's silhouette score. Every k in
+/// the sweep is scored against one shared distance matrix.
+pub(crate) fn auto_k_scored(
+    points: &[Vec<f32>],
+    min: usize,
+    max: usize,
+    config: &KMeansConfig,
+) -> (KMeansResult, f64) {
+    let distances = DistanceMatrix::new(points);
     let n = points.len();
+    // Both bounds are clamped into 1..=max(n, 1) with `lo <= hi`, so the
+    // sweep always runs at least once.
     let lo = min.max(1).min(n.max(1));
     let hi = max.max(lo).min(n.max(1));
-    let mut best: Option<(f64, KMeansResult)> = None;
+    let mut best: Option<(KMeansResult, f64)> = None;
     for k in lo..=hi {
         let result = kmeans(points, &KMeansConfig { k, ..*config });
-        let score = silhouette_score(points, &result.assignments);
+        let score = silhouette_from(&distances, &result.assignments);
         match &best {
-            Some((best_score, _)) if score <= *best_score => {}
-            _ => best = Some((score, result)),
+            Some((_, best_score)) if score <= *best_score => {}
+            _ => best = Some((result, score)),
         }
     }
-    best.map(|(_, r)| r)
-        .unwrap_or_else(|| kmeans(points, &KMeansConfig { k: lo, ..*config }))
+    best.expect("the k range is never empty")
 }
 
 #[cfg(test)]
@@ -317,6 +378,22 @@ mod tests {
         );
         assert_eq!(result.assignments.len(), 4);
         assert!(result.iterations <= KMeansConfig::default().max_iterations);
+    }
+
+    #[test]
+    fn assignment_is_the_same_at_any_thread_count() {
+        let points: Vec<Vec<f32>> = (0..23)
+            .map(|i| (0..9).map(|e| ((i * 7 + e * 3) % 11) as f32).collect())
+            .collect();
+        let centroids = vec![points[0].clone(), points[5].clone(), points[17].clone()];
+        let mut serial = vec![0usize; points.len()];
+        let serial_changed = assign(&points, &centroids, &mut serial, 1);
+        for threads in [2, 3, 8, 64] {
+            let mut parallel = vec![0usize; points.len()];
+            let changed = assign(&points, &centroids, &mut parallel, threads);
+            assert_eq!(parallel, serial, "threads={threads}");
+            assert_eq!(changed, serial_changed, "threads={threads}");
+        }
     }
 
     #[test]

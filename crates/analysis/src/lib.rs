@@ -48,8 +48,11 @@
 #![deny(unsafe_code)]
 
 mod community;
+mod distance;
 mod kmeans;
 mod metrics;
+#[cfg(test)]
+mod oracle;
 mod pipeline;
 
 pub use community::{affinity_matrix, label_propagation, DEFAULT_LABEL_PROPAGATION_SWEEPS};

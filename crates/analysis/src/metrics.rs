@@ -10,7 +10,7 @@
 //! k-means vs approval-graph communities), since it is symmetric and
 //! invariant under label permutation.
 
-use crate::kmeans::squared_distance;
+use crate::distance::DistanceMatrix;
 
 /// Mean silhouette coefficient of a clustering, in `[-1, 1]`.
 ///
@@ -20,15 +20,37 @@ use crate::kmeans::squared_distance;
 /// score 0 for their member (the standard convention), and clusterings
 /// with fewer than two clusters or two points score 0 overall — there
 /// is no between-cluster structure to measure.
+///
+/// # Panics
+///
+/// Panics if `assignments` does not hold one label per point, or if a
+/// clustering with two or more clusters has points of differing length.
 pub fn silhouette_score(points: &[Vec<f32>], assignments: &[usize]) -> f64 {
     assert_eq!(points.len(), assignments.len(), "one label per point");
-    let n = points.len();
-    if n < 2 {
+    if cluster_labels(assignments).len() < 2 {
         return 0.0;
     }
+    silhouette_from(&DistanceMatrix::new(points), assignments)
+}
+
+/// The distinct labels of a clustering, ascending.
+fn cluster_labels(assignments: &[usize]) -> Vec<usize> {
     let mut labels: Vec<usize> = assignments.to_vec();
     labels.sort_unstable();
     labels.dedup();
+    labels
+}
+
+/// [`silhouette_score`] over precomputed pairwise distances, so every
+/// clustering of one point set scored in a snapshot shares a single
+/// distance pass. Each point's own and foreign sums still accumulate in
+/// `j` order, so the score is bit-identical to one computed from the
+/// points directly.
+pub(crate) fn silhouette_from(distances: &DistanceMatrix, assignments: &[usize]) -> f64 {
+    let n = distances.len();
+    assert_eq!(n, assignments.len(), "one label per point");
+    // Fewer than two points means fewer than two clusters.
+    let labels = cluster_labels(assignments);
     if labels.len() < 2 {
         return 0.0;
     }
@@ -44,15 +66,15 @@ pub fn silhouette_score(points: &[Vec<f32>], assignments: &[usize]) -> f64 {
             .filter(|&&l| l != own)
             .map(|&l| (l, 0.0, 0))
             .collect();
-        for j in 0..n {
+        for (j, &label) in assignments.iter().enumerate() {
             if i == j {
                 continue;
             }
-            let d = squared_distance(&points[i], &points[j]).sqrt();
-            if assignments[j] == own {
+            let d = distances.get(i, j);
+            if label == own {
                 own_sum += d;
                 own_count += 1;
-            } else if let Some(entry) = foreign.iter_mut().find(|(l, _, _)| *l == assignments[j]) {
+            } else if let Some(entry) = foreign.iter_mut().find(|(l, _, _)| *l == label) {
                 entry.1 += d;
                 entry.2 += 1;
             }

@@ -12,7 +12,7 @@
 use dagfl_graphs::Graph;
 
 use crate::community::{label_propagation, DEFAULT_LABEL_PROPAGATION_SWEEPS};
-use crate::kmeans::{auto_k, kmeans, KMeansConfig};
+use crate::kmeans::{auto_k_scored, kmeans, KMeansConfig};
 use crate::metrics::{adjusted_rand_index, cluster_purity, silhouette_score};
 
 /// How the cluster count for the parameter-space view is chosen.
@@ -152,11 +152,15 @@ pub fn analyze(
                 seed: config.seed,
                 ..KMeansConfig::default()
             };
-            let result = match config.k {
-                KSelection::Fixed(k) => kmeans(points, &KMeansConfig { k, ..base }),
-                KSelection::Auto { min, max } => auto_k(points, min, max, &base),
+            // An auto-k sweep already scored its winner.
+            let (result, silhouette) = match config.k {
+                KSelection::Fixed(k) => {
+                    let result = kmeans(points, &KMeansConfig { k, ..base });
+                    let silhouette = silhouette_score(points, &result.assignments);
+                    (result, silhouette)
+                }
+                KSelection::Auto { min, max } => auto_k_scored(points, min, max, &base),
             };
-            let silhouette = silhouette_score(points, &result.assignments);
             Some(ParameterClustering {
                 k: result.k,
                 purity: cluster_purity(&result.assignments, truth),

@@ -39,25 +39,103 @@ pub enum Command {
     Help,
 }
 
+/// Every subcommand: its spelling on the command line and the titles of
+/// the [`USAGE`] sections that document its flags.
+const COMMANDS: [(&str, Command, &[&str]); 13] = [
+    ("dag", Command::Dag, &["COMMON FLAGS", "DAG FLAGS"]),
+    ("fedavg", Command::FedAvg, &["COMMON FLAGS"]),
+    (
+        "fedprox",
+        Command::FedProx,
+        &["COMMON FLAGS", "FEDPROX FLAGS"],
+    ),
+    ("local", Command::Local, &["COMMON FLAGS"]),
+    (
+        "async",
+        Command::Async,
+        &["COMMON FLAGS", "DAG FLAGS", "ASYNC FLAGS", "FAULT FLAGS"],
+    ),
+    ("run", Command::Run, &["RUN FLAGS", "SCENARIOS"]),
+    ("analyze", Command::Analyze, &["ANALYZE FLAGS"]),
+    ("sweep", Command::Sweep, &["SWEEP FLAGS"]),
+    ("scenarios", Command::Scenarios, &["SCENARIOS"]),
+    ("perf", Command::Perf, &["PERF FLAGS"]),
+    (
+        "peer",
+        Command::Peer,
+        &["COMMON FLAGS", "DAG FLAGS", "PEER FLAGS"],
+    ),
+    ("tracker", Command::Tracker, &["TRACKER FLAGS"]),
+    ("help", Command::Help, &[]),
+];
+
 impl Command {
     fn parse(word: &str) -> Option<Self> {
         match word {
-            "dag" => Some(Command::Dag),
-            "fedavg" => Some(Command::FedAvg),
-            "fedprox" => Some(Command::FedProx),
-            "local" => Some(Command::Local),
-            "async" => Some(Command::Async),
-            "run" => Some(Command::Run),
-            "analyze" => Some(Command::Analyze),
-            "sweep" => Some(Command::Sweep),
-            "scenarios" => Some(Command::Scenarios),
-            "perf" => Some(Command::Perf),
-            "peer" => Some(Command::Peer),
-            "tracker" => Some(Command::Tracker),
-            "help" | "--help" | "-h" => Some(Command::Help),
-            _ => None,
+            "--help" | "-h" => Some(Command::Help),
+            _ => COMMANDS
+                .iter()
+                .find(|(w, _, _)| *w == word)
+                .map(|&(_, c, _)| c),
         }
     }
+
+    /// This subcommand's row of [`COMMANDS`].
+    fn entry(self) -> (&'static str, &'static [&'static str]) {
+        COMMANDS
+            .iter()
+            .find(|(_, c, _)| *c == self)
+            .map(|&(word, _, sections)| (word, sections))
+            .expect("every subcommand is listed in COMMANDS")
+    }
+}
+
+/// The lines of the [`USAGE`] section whose title line starts with
+/// `title`, title included, up to the next section.
+fn usage_section(title: &str) -> Option<Vec<&'static str>> {
+    let mut lines = USAGE.lines().skip_while(|line| !line.starts_with(title));
+    let header = lines.next()?;
+    let mut section = vec![header];
+    section.extend(lines.take_while(|line| line.is_empty() || line.starts_with(' ')));
+    while section.last().is_some_and(|line| line.is_empty()) {
+        section.pop();
+    }
+    Some(section)
+}
+
+/// The usage text for one subcommand (`dagfl <sub> --help`): its
+/// one-line summary from the command list plus the flag sections of
+/// [`USAGE`] that apply to it. `help` itself gets the full text.
+pub fn usage_for(command: Command) -> String {
+    if command == Command::Help {
+        return USAGE.to_string();
+    }
+    let (word, sections) = command.entry();
+    let entry = format!("    {word} ");
+    // A command-list entry is its first line plus the continuation
+    // lines indented to the description column.
+    let summary: Vec<&str> = usage_section("COMMANDS")
+        .unwrap_or_default()
+        .into_iter()
+        .skip_while(|line| !line.starts_with(&entry))
+        .enumerate()
+        .take_while(|(i, line)| *i == 0 || line.starts_with("              "))
+        .map(|(_, line)| line.get(14..).unwrap_or("").trim())
+        .collect();
+    let mut out = format!(
+        "dagfl {word} — {}\n\nUSAGE:\n    dagfl {word} [--flag value]...\n",
+        summary.join(" ")
+    );
+    for title in sections {
+        for line in usage_section(title).unwrap_or_default() {
+            if line.starts_with(title) {
+                out.push('\n');
+            }
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
 }
 
 /// Errors from command-line parsing.
@@ -98,7 +176,7 @@ impl Error for ParseError {}
 
 /// Flags that take no value (their presence means `true`), so
 /// `dagfl run --preset smoke --full` parses without a dangling token.
-const BOOLEAN_FLAGS: &[&str] = &["full", "dry-run", "reconnect", "digest"];
+const BOOLEAN_FLAGS: &[&str] = &["full", "dry-run", "reconnect", "digest", "help"];
 
 /// A parsed command line: the subcommand plus `--key value` options and
 /// (for `sweep`) one optional positional argument.
@@ -134,7 +212,10 @@ impl ParsedArgs {
                     options.insert(flag, token.to_string());
                 }
                 None => {
-                    if let Some(flag) = token.strip_prefix("--") {
+                    if token == "-h" {
+                        // `dagfl <sub> -h` is `dagfl <sub> --help`.
+                        options.insert("help".to_string(), "true".to_string());
+                    } else if let Some(flag) = token.strip_prefix("--") {
                         if BOOLEAN_FLAGS.contains(&flag) {
                             options.insert(flag.to_string(), "true".to_string());
                         } else {
@@ -205,6 +286,37 @@ impl ParsedArgs {
         }
     }
 
+    /// A positive count option with default: like
+    /// [`ParsedArgs::get_parsed_or`], but an explicit `0` is an error
+    /// rather than a silent stand-in for the default.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseError::InvalidValue`] when present but unparsable
+    /// or zero.
+    pub fn get_count_or(&self, flag: &str, default: usize) -> Result<usize, ParseError> {
+        match self.get_parsed_or(flag, default)? {
+            0 => Err(ParseError::InvalidValue {
+                flag: flag.to_string(),
+                value: "0".to_string(),
+            }),
+            count => Ok(count),
+        }
+    }
+
+    /// An optional positive count: `None` when absent, an error when
+    /// unparsable or zero.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseError::InvalidValue`] when present but unparsable
+    /// or zero.
+    pub fn get_count(&self, flag: &str) -> Result<Option<usize>, ParseError> {
+        self.get(flag)
+            .map(|_| self.get_count_or(flag, 1))
+            .transpose()
+    }
+
     /// The flags provided (sorted, for error reporting).
     pub fn flags(&self) -> Vec<&str> {
         let mut flags: Vec<&str> = self.options.keys().map(String::as_str).collect();
@@ -249,6 +361,13 @@ SCENARIOS:
     backend- and worker-count-independent hash of the final DAG, and
     `run --workers N` overrides an async scenario's event-loop worker
     count (results are byte-identical at any count).
+
+RUN FLAGS:
+    --scenario          scenario file to run
+    --preset            scenario preset to run
+    --full              resolve presets at the paper's scale
+    --digest            also print the final tangle digest
+    --workers           async event-loop worker count     (the scenario's)
 
 SWEEP FLAGS:
     <file>              sweep file (scenarios/sweep-*.toml) or sweep preset name
@@ -461,6 +580,69 @@ mod tests {
             args.get_parsed_or("rounds", 1usize).unwrap_err(),
             ParseError::InvalidValue { .. }
         ));
+    }
+
+    #[test]
+    fn help_after_a_subcommand_is_a_flag() {
+        for invocation in [
+            vec!["perf", "--help"],
+            vec!["run", "--preset", "smoke", "--help"],
+            vec!["sweep", "-h"],
+        ] {
+            let args = ParsedArgs::parse(invocation.clone()).expect("parses");
+            assert!(args.flag("help"), "{invocation:?}");
+            assert_eq!(args.positional(), None);
+        }
+    }
+
+    #[test]
+    fn every_subcommand_has_its_own_usage() {
+        for cmd in [
+            Command::Dag,
+            Command::FedAvg,
+            Command::FedProx,
+            Command::Local,
+            Command::Async,
+            Command::Run,
+            Command::Analyze,
+            Command::Sweep,
+            Command::Scenarios,
+            Command::Perf,
+            Command::Peer,
+            Command::Tracker,
+        ] {
+            let usage = usage_for(cmd);
+            let (word, sections) = cmd.entry();
+            assert!(usage.starts_with(&format!("dagfl {word} — ")), "{usage}");
+            // The summary line is never empty: the command is listed.
+            assert!(!usage.lines().next().unwrap().ends_with("— "), "{usage}");
+            for title in sections {
+                assert!(usage_section(title).is_some(), "USAGE lacks {title}");
+                assert!(usage.contains(title), "{cmd:?} usage lacks {title}");
+            }
+        }
+        assert!(usage_for(Command::Perf).contains("--transactions"));
+        assert!(!usage_for(Command::Perf).contains("--stale-policy"));
+        assert!(usage_for(Command::Async).contains("--stale-policy"));
+        assert!(usage_for(Command::Run).contains("--digest"));
+        assert_eq!(usage_for(Command::Help), USAGE);
+    }
+
+    #[test]
+    fn count_options_reject_zero() {
+        let args = ParsedArgs::parse(["async", "--clients", "0", "--jobs", "3"]).unwrap();
+        assert_eq!(
+            args.get_count_or("clients", 15).unwrap_err(),
+            ParseError::InvalidValue {
+                flag: "clients".into(),
+                value: "0".into()
+            }
+        );
+        assert_eq!(args.get_count_or("jobs", 1).unwrap(), 3);
+        assert_eq!(args.get_count_or("rounds", 30).unwrap(), 30);
+        assert_eq!(args.get_count("samples").unwrap(), None);
+        assert_eq!(args.get_count("jobs").unwrap(), Some(3));
+        assert!(args.get_count("clients").is_err());
     }
 
     #[test]

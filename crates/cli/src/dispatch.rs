@@ -19,7 +19,7 @@ use dagfl_scenario::{
     ModelSpec, Scale, Scenario, ScenarioRunner, SweepAxis, SweepRunner, SweepSpec,
 };
 
-use crate::args::{Command, ParseError, ParsedArgs, USAGE};
+use crate::args::{usage_for, Command, ParseError, ParsedArgs, USAGE};
 
 /// The selectable datasets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,12 +59,13 @@ fn build_task(
     args: &ParsedArgs,
 ) -> Result<(FederatedDataset, ModelFactory), ParseError> {
     let seed: u64 = args.get_parsed_or("seed", 42)?;
-    let clients: usize = args.get_parsed_or("clients", 0)?; // 0 = default
-    let samples: usize = args.get_parsed_or("samples", 0)?;
+    // Absent means the dataset's own default; an explicit 0 is an error.
+    let clients = args.get_count("clients")?;
+    let samples = args.get_count("samples")?;
     let dataset = match kind {
         DatasetKind::Fmnist | DatasetKind::FmnistRelaxed => fmnist_clustered(&FmnistConfig {
-            num_clients: if clients == 0 { 15 } else { clients },
-            samples_per_client: if samples == 0 { 60 } else { samples },
+            num_clients: clients.unwrap_or(15),
+            samples_per_client: samples.unwrap_or(60),
             relaxation: if kind == DatasetKind::FmnistRelaxed {
                 0.18
             } else {
@@ -74,25 +75,25 @@ fn build_task(
             ..FmnistConfig::default()
         }),
         DatasetKind::FmnistAuthor => fmnist_by_author(&FmnistConfig {
-            num_clients: if clients == 0 { 12 } else { clients },
-            samples_per_client: if samples == 0 { 80 } else { samples },
+            num_clients: clients.unwrap_or(12),
+            samples_per_client: samples.unwrap_or(80),
             seed,
             ..FmnistConfig::default()
         }),
         DatasetKind::Poets => poets(&PoetsConfig {
-            clients_per_language: if clients == 0 { 6 } else { clients.div_ceil(2) },
-            samples_per_client: if samples == 0 { 400 } else { samples },
+            clients_per_language: clients.map_or(6, |c| c.div_ceil(2)),
+            samples_per_client: samples.unwrap_or(400),
             seq_len: 12,
             seed,
         }),
         DatasetKind::Cifar => cifar100_like(&Cifar100Config {
-            num_clients: if clients == 0 { 30 } else { clients },
-            samples_per_client: if samples == 0 { 60 } else { samples },
+            num_clients: clients.unwrap_or(30),
+            samples_per_client: samples.unwrap_or(60),
             seed,
             ..Cifar100Config::default()
         }),
         DatasetKind::FedProxSynthetic => fedprox_synthetic(&FedProxConfig {
-            num_clients: if clients == 0 { 30 } else { clients },
+            num_clients: clients.unwrap_or(30),
             seed,
             ..FedProxConfig::default()
         }),
@@ -346,11 +347,11 @@ fn fault_plan(args: &ParsedArgs) -> Result<FaultPlan, ParseError> {
 
 fn fed_config(args: &ParsedArgs, num_clients: usize, mu: f32) -> Result<FedConfig, ParseError> {
     Ok(FedConfig {
-        rounds: args.get_parsed_or("rounds", 30)?,
-        clients_per_round: args.get_parsed_or("clients-per-round", 6.min(num_clients))?,
-        local_epochs: args.get_parsed_or("epochs", 1)?,
-        local_batches: args.get_parsed_or("batches", 10)?,
-        batch_size: args.get_parsed_or("batch-size", 10)?,
+        rounds: args.get_count_or("rounds", 30)?,
+        clients_per_round: args.get_count_or("clients-per-round", 6.min(num_clients))?,
+        local_epochs: args.get_count_or("epochs", 1)?,
+        local_batches: args.get_count_or("batches", 10)?,
+        batch_size: args.get_count_or("batch-size", 10)?,
         learning_rate: args.get_parsed_or("lr", 0.05)?,
         proximal_mu: mu,
         straggler_fraction: args.get_parsed_or("stragglers", 0.0)?,
@@ -366,6 +367,10 @@ fn fed_config(args: &ParsedArgs, num_clients: usize, mu: f32) -> Result<FedConfi
 ///
 /// Returns an error for invalid arguments or failed training.
 pub fn run_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
+    if args.flag("help") {
+        print!("{}", usage_for(args.command()));
+        return Ok(());
+    }
     match args.command() {
         Command::Help => {
             println!("{USAGE}");
@@ -432,13 +437,13 @@ pub fn run_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             }
         }
         Command::Local => {
-            let rounds: usize = args.get_parsed_or("rounds", 30)?;
+            let rounds = args.get_count_or("rounds", 30)?;
             let mut local = LocalOnly::new(
                 dataset,
                 factory,
                 args.get_parsed_or("lr", 0.05)?,
-                args.get_parsed_or("batches", 10)?,
-                args.get_parsed_or("batch-size", 10)?,
+                args.get_count_or("batches", 10)?,
+                args.get_count_or("batch-size", 10)?,
                 args.get_parsed_or("seed", 42)?,
             );
             println!("round,mean_accuracy");
@@ -702,6 +707,10 @@ fn parse_axes_flag(spec: &str) -> Result<Vec<SweepAxis>, Box<dyn Error>> {
 /// workers (or list them with `--dry-run`), and print the aggregate
 /// report.
 fn sweep_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
+    let default_jobs = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
+    let jobs = args.get_count_or("jobs", default_jobs)?;
     let mut spec = match (args.positional(), args.get("preset-base")) {
         (Some(source), None) => {
             let looks_like_path = source.ends_with(".toml") || source.contains(['/', '\\']);
@@ -745,10 +754,6 @@ fn sweep_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         }
         return Ok(());
     }
-    let default_jobs = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let jobs: usize = args.get_parsed_or("jobs", default_jobs)?.max(1);
     eprintln!(
         "# sweep={} cells={} jobs={}",
         runner.spec().name,

@@ -27,5 +27,5 @@ pub mod dispatch;
 pub mod net;
 pub mod perf;
 
-pub use args::{Command, ParseError, ParsedArgs, USAGE};
+pub use args::{usage_for, Command, ParseError, ParsedArgs, USAGE};
 pub use dispatch::{run_command, DatasetKind};

@@ -26,10 +26,10 @@ use crate::dispatch::{build_cli_task, cli_dag_config};
 /// joined and left (forever without `--expect`).
 pub fn tracker_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     let listen = args.get_or("listen", "127.0.0.1:7878");
-    let expect: usize = args.get_parsed_or("expect", 0)?;
+    let expect = args.get_count("expect")?;
     let mut tracker = Tracker::bind(listen)?;
     eprintln!("# tracker listening on {}", tracker.local_addr()?);
-    let summary = tracker.run((expect > 0).then_some(expect))?;
+    let summary = tracker.run(expect)?;
     println!(
         "tracker done: {} joined, {} left",
         summary.joined, summary.left
@@ -42,7 +42,7 @@ pub fn tracker_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
 pub fn peer_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     let (dataset, factory) = build_cli_task(args)?;
     let client: u32 = args.get_parsed_or("client", 0)?;
-    let peers: usize = args.get_parsed_or("peers", 1)?;
+    let peers = args.get_count_or("peers", 1)?;
     let config = PeerConfig {
         client,
         peers,
@@ -85,15 +85,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tracker_with_expect_zero_parses_to_serve_forever() {
-        // `(expect > 0).then_some(expect)` is the forever/bounded switch;
-        // exercise the arithmetic without binding a socket.
+    fn tracker_rejects_expect_zero() {
+        // Serving forever is spelled by omitting `--expect`; an explicit
+        // 0 is an error, raised before any socket is bound.
         let args = ParsedArgs::parse(["tracker", "--expect", "0"]).unwrap();
-        let expect: usize = args.get_parsed_or("expect", 0).unwrap();
-        assert_eq!((expect > 0).then_some(expect), None);
+        let err = tracker_command(&args).expect_err("--expect 0 must fail");
+        assert!(err.to_string().contains("expect"), "{err}");
         let args = ParsedArgs::parse(["tracker", "--expect", "3"]).unwrap();
-        let expect: usize = args.get_parsed_or("expect", 0).unwrap();
-        assert_eq!((expect > 0).then_some(expect), Some(3));
+        assert_eq!(args.get_count("expect").unwrap(), Some(3));
+        let args = ParsedArgs::parse(["tracker"]).unwrap();
+        assert_eq!(args.get_count("expect").unwrap(), None);
+    }
+
+    #[test]
+    fn peer_command_rejects_zero_peers() {
+        let args = ParsedArgs::parse(["peer", "--peers", "0", "--tracker", "127.0.0.1:1"]).unwrap();
+        let err = peer_command(&args).expect_err("--peers 0 must fail");
+        assert!(err.to_string().contains("peers"), "{err}");
     }
 
     #[test]

@@ -132,3 +132,73 @@ fn scenarios_listing_never_fails() {
     assert_eq!(args.command(), Command::Scenarios);
     run_command(&args).expect("preset listing succeeds");
 }
+
+#[test]
+fn subcommand_help_prints_usage_and_succeeds() {
+    for invocation in [
+        vec!["perf", "--help"],
+        vec!["run", "--help"],
+        vec!["async", "-h"],
+        vec!["sweep", "--help"],
+        vec!["tracker", "--help"],
+        vec!["dag", "--rounds", "0", "--help"],
+    ] {
+        let args = ParsedArgs::parse(invocation.clone()).expect("--help parses");
+        run_command(&args).unwrap_or_else(|e| panic!("{invocation:?} failed: {e}"));
+    }
+}
+
+/// Every count flag that used to treat an explicit `0` as "use the
+/// default" (or as a silent no-op, or panicked on it) is now an error
+/// naming the flag.
+#[test]
+fn zero_counts_are_errors_not_defaults() {
+    for invocation in [
+        vec!["async", "--clients", "0", "--activations", "2"],
+        vec!["dag", "--samples", "0", "--rounds", "1"],
+        vec!["dag", "--dataset", "poets", "--clients", "0"],
+        vec!["fedavg", "--rounds", "0"],
+        vec!["fedavg", "--clients-per-round", "0"],
+        vec!["fedavg", "--epochs", "0"],
+        vec!["fedavg", "--batches", "0"],
+        vec!["fedprox", "--batch-size", "0"],
+        vec!["local", "--rounds", "0"],
+        vec!["local", "--batches", "0"],
+        vec!["local", "--batch-size", "0"],
+        vec!["sweep", "sweep-smoke", "--jobs", "0", "--dry-run"],
+        vec!["tracker", "--expect", "0"],
+    ] {
+        let flag = invocation
+            .iter()
+            .zip(invocation.iter().skip(1))
+            .find(|(_, value)| **value == "0")
+            .map(|(flag, _)| flag.trim_start_matches("--"))
+            .expect("a zero-valued flag");
+        let args = ParsedArgs::parse(invocation.clone()).expect("parses");
+        let err = run_command(&args).expect_err("a zero count must fail");
+        assert_eq!(
+            err.to_string(),
+            format!("invalid value `0` for flag `{flag}`"),
+            "{invocation:?}"
+        );
+    }
+}
+
+/// `dagfl run --preset <name> --digest` at quick scale reproduces the
+/// checked-in golden stdout byte for byte. CI repeats the diff pinned to
+/// one core, where every analysis kernel runs on a single thread.
+#[test]
+fn analysis_presets_match_their_goldens() {
+    let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    for preset in ["analysis-smoke", "fig05-alpha10"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dagfl"))
+            .args(["run", "--preset", preset, "--digest"])
+            .env_remove("DAGFL_FULL")
+            .output()
+            .expect("the dagfl binary runs");
+        assert!(out.status.success(), "{preset}: {out:?}");
+        let golden = std::fs::read_to_string(golden_dir.join(format!("{preset}.txt")))
+            .expect("golden file present");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), golden, "{preset}");
+    }
+}

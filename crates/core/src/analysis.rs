@@ -115,17 +115,9 @@ pub fn cluster_specialization(sim: &mut Simulation) -> Result<ClusterSpecializat
     }
 
     // Reference parameters per client.
-    let config = sim.config;
-    let tangle = &sim.tangle;
     let mut per_cluster_params: HashMap<usize, Vec<Vec<f32>>> = HashMap::new();
-    for idx in 0..sim.dataset.num_clients() {
-        let data = &sim.dataset.clients()[idx];
-        let client = &mut sim.clients[idx];
-        let (params, _) = client.reference_model(tangle, data, &config)?;
-        per_cluster_params
-            .entry(cluster_labels[idx])
-            .or_default()
-            .push(params);
+    for (params, &cluster) in sim.reference_parameters()?.into_iter().zip(&cluster_labels) {
+        per_cluster_params.entry(cluster).or_default().push(params);
     }
 
     // Pooled test data per cluster.

@@ -47,9 +47,9 @@ use rand::{Rng, SeedableRng};
 
 use dagfl_datasets::FederatedDataset;
 use dagfl_graphs::Graph;
-use dagfl_nn::average_parameters;
 use dagfl_tangle::{TangleRead, TxId};
 
+use crate::client::average_tips;
 use crate::{
     ClientGraphTracker, ComputeProfile, CoreError, DagClient, DagConfig, DelayModel, Envelope,
     FaultPlan, FaultyTransport, GossipMessage, LoopbackTransport, ModelFactory, ModelPayload,
@@ -861,9 +861,7 @@ impl AsyncSimulation {
                     let replica = self.replicas[idx].tangle();
                     let (fresh, _, _) =
                         self.clients[idx].select_tips(replica, data, &self.config.dag)?;
-                    let p1 = replica.payload_of(fresh.0)?.share();
-                    let p2 = replica.payload_of(fresh.1)?.share();
-                    let reference = average_parameters(&[&p1, &p2]);
+                    let reference = average_tips(replica, fresh)?;
                     let eval = self.clients[idx].evaluate_with(
                         &reference,
                         data.test_x(),

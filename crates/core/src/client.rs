@@ -53,6 +53,21 @@ pub struct DagClient {
     evaluator: ModelEvaluator,
 }
 
+/// The reference model of a tip pair: the average of the two tips'
+/// parameters (§4.1).
+///
+/// # Errors
+///
+/// Propagates tangle errors (unknown tips).
+pub(crate) fn average_tips<T: TangleRead<ModelPayload>>(
+    tangle: &T,
+    (tip1, tip2): (TxId, TxId),
+) -> Result<Vec<f32>, CoreError> {
+    let p1 = tangle.payload_of(tip1)?.share();
+    let p2 = tangle.payload_of(tip2)?.share();
+    Ok(average_parameters(&[&p1, &p2]))
+}
+
 impl DagClient {
     /// Creates a client with a freshly initialised scratch model.
     pub fn new(id: u32, model: Box<dyn Model>, seed: u64) -> Self {
@@ -155,10 +170,8 @@ impl DagClient {
         data: &ClientDataset,
         cfg: &DagConfig,
     ) -> Result<(Vec<f32>, (TxId, TxId)), CoreError> {
-        let ((tip1, tip2), _, _) = self.select_tips(tangle, data, cfg)?;
-        let p1 = tangle.payload_of(tip1)?.share();
-        let p2 = tangle.payload_of(tip2)?.share();
-        Ok((average_parameters(&[&p1, &p2]), (tip1, tip2)))
+        let (tips, _, _) = self.select_tips(tangle, data, cfg)?;
+        Ok((average_tips(tangle, tips)?, tips))
     }
 
     /// Evaluates an arbitrary parameter vector on the given data using the

@@ -6,11 +6,12 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use dagfl_datasets::FederatedDataset;
+use dagfl_datasets::{ClientDataset, FederatedDataset};
 use dagfl_graphs::{louvain, misclassification_fraction, modularity, partition_count, Graph};
 use dagfl_nn::Evaluation;
 use dagfl_tangle::TxId;
 
+use crate::client::average_tips;
 use crate::{
     ClientGraphTracker, CoreError, DagClient, DagConfig, ModelFactory, ModelPayload, RoundMetrics,
     ShardedModelTangle, SpecializationMetrics, TrainOutcome,
@@ -296,24 +297,78 @@ impl Simulation {
         }
     }
 
+    /// Every client's two walk-selected reference tips, in client order.
+    ///
+    /// With [`DagConfig::parallel`] the walks run on one scoped thread
+    /// per available core, each over a contiguous chunk of clients. A
+    /// client walks with its own RNG stream, evaluator and scratch model
+    /// over the read-only tangle, so the tips, and the state every
+    /// stream is left in, are the same at any thread count. Only tip
+    /// ids cross threads: averaging the tips into parameter vectors is
+    /// left to the caller's thread.
+    fn reference_tips(&mut self) -> Result<Vec<(TxId, TxId)>, CoreError> {
+        let threads = if self.config.parallel {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            1
+        };
+        self.reference_tips_on(threads)
+    }
+
+    /// [`Simulation::reference_tips`] on exactly `threads` threads.
+    fn reference_tips_on(&mut self, threads: usize) -> Result<Vec<(TxId, TxId)>, CoreError> {
+        let config = self.config;
+        let tangle = &self.tangle;
+        let data = self.dataset.clients();
+        let select = |clients: &mut [DagClient], data: &[ClientDataset]| {
+            clients
+                .iter_mut()
+                .zip(data)
+                .map(|(client, data)| Ok(client.select_tips(tangle, data, &config)?.0))
+                .collect::<Result<Vec<_>, CoreError>>()
+        };
+        if threads <= 1 || self.clients.len() < 2 {
+            return select(&mut self.clients, data);
+        }
+        let chunk = self.clients.len().div_ceil(threads);
+        let select = &select;
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = self
+                .clients
+                .chunks_mut(chunk)
+                .zip(data.chunks(chunk))
+                .map(|(clients, data)| scope.spawn(move || select(clients, data)))
+                .collect();
+            let mut tips = Vec::with_capacity(data.len());
+            for worker in workers {
+                tips.extend(worker.join().expect("reference walk thread panicked")?);
+            }
+            Ok(tips)
+        })
+    }
+
     /// Evaluates every client's walk-selected reference model on its local
     /// test data; returns `(client, evaluation, reference tips)` triples.
+    ///
+    /// The walks run in parallel when [`DagConfig::parallel`] is set;
+    /// the results are identical either way.
     ///
     /// # Errors
     ///
     /// Propagates model/tangle errors.
     pub fn reference_evaluations(&mut self) -> Result<Vec<ReferenceEvaluation>, CoreError> {
-        let config = self.config;
+        let tips = self.reference_tips()?;
         let tangle = &self.tangle;
-        let dataset = &self.dataset;
-        let mut out = Vec::with_capacity(self.clients.len());
-        for (idx, client) in self.clients.iter_mut().enumerate() {
-            let data = &dataset.clients()[idx];
-            let (params, tips) = client.reference_model(tangle, data, &config)?;
-            let eval = client.evaluate_with(&params, data.test_x(), data.test_y())?;
-            out.push((client.id(), eval, tips));
-        }
-        Ok(out)
+        self.clients
+            .iter_mut()
+            .zip(self.dataset.clients())
+            .zip(tips)
+            .map(|((client, data), tips)| {
+                let params = average_tips(tangle, tips)?;
+                let eval = client.evaluate_with(&params, data.test_x(), data.test_y())?;
+                Ok((client.id(), eval, tips))
+            })
+            .collect()
     }
 
     /// Every client's walk-selected reference parameter vector, in
@@ -322,22 +377,17 @@ impl Simulation {
     /// Like [`Simulation::reference_evaluations`], the walks draw from
     /// each client's own RNG stream, so calling this advances those
     /// streams deterministically (the same call sites always see the
-    /// same state).
+    /// same state), and they run in parallel when
+    /// [`DagConfig::parallel`] is set.
     ///
     /// # Errors
     ///
     /// Propagates model/tangle errors.
     pub fn reference_parameters(&mut self) -> Result<Vec<Vec<f32>>, CoreError> {
-        let config = self.config;
-        let tangle = &self.tangle;
-        let dataset = &self.dataset;
-        let mut out = Vec::with_capacity(self.clients.len());
-        for (idx, client) in self.clients.iter_mut().enumerate() {
-            let data = &dataset.clients()[idx];
-            let (params, _) = client.reference_model(tangle, data, &config)?;
-            out.push(params);
-        }
-        Ok(out)
+        self.reference_tips()?
+            .into_iter()
+            .map(|tips| average_tips(&self.tangle, tips))
+            .collect()
     }
 }
 
@@ -472,6 +522,58 @@ mod tests {
             assert!(client < 6);
             assert!((0.0..=1.0).contains(&eval.accuracy));
         }
+    }
+
+    /// The reference walks give bit-identical results on one thread and
+    /// on many, and leave every client's RNG stream in the same state:
+    /// later rounds reach the same tangle digest.
+    #[test]
+    fn reference_walks_are_identical_serial_and_parallel() {
+        let mut serial = small_sim(6, false);
+        let mut parallel = small_sim(6, true);
+        for _ in 0..3 {
+            serial.run_round().unwrap();
+            parallel.run_round().unwrap();
+        }
+        let param_bits = |params: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
+            params
+                .iter()
+                .map(|p| p.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let eval_bits = |evals: Vec<ReferenceEvaluation>| {
+            evals
+                .into_iter()
+                .map(|(id, e, tips)| (id, e.loss.to_bits(), e.accuracy.to_bits(), e.correct, tips))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            param_bits(serial.reference_parameters().unwrap()),
+            param_bits(parallel.reference_parameters().unwrap())
+        );
+        assert_eq!(
+            eval_bits(serial.reference_evaluations().unwrap()),
+            eval_bits(parallel.reference_evaluations().unwrap())
+        );
+        // Thread counts that do and do not divide the six clients, on
+        // any host.
+        let tips = serial.reference_tips_on(1).unwrap();
+        assert_eq!(parallel.reference_tips_on(4).unwrap(), tips);
+        let mut other = small_sim(6, true);
+        for _ in 0..3 {
+            other.run_round().unwrap();
+        }
+        other.reference_parameters().unwrap();
+        other.reference_evaluations().unwrap();
+        assert_eq!(other.reference_tips_on(6).unwrap(), tips);
+        for _ in 0..3 {
+            serial.run_round().unwrap();
+            parallel.run_round().unwrap();
+        }
+        assert_eq!(
+            crate::tangle_digest(serial.tangle()),
+            crate::tangle_digest(parallel.tangle())
+        );
     }
 
     #[test]
