@@ -55,9 +55,13 @@ const COMMANDS: [(&str, Command, &[&str]); 13] = [
         Command::Async,
         &["COMMON FLAGS", "DAG FLAGS", "ASYNC FLAGS", "FAULT FLAGS"],
     ),
-    ("run", Command::Run, &["RUN FLAGS", "SCENARIOS"]),
+    (
+        "run",
+        Command::Run,
+        &["RUN FLAGS", "OVERRIDES", "SCENARIOS"],
+    ),
     ("analyze", Command::Analyze, &["ANALYZE FLAGS"]),
-    ("sweep", Command::Sweep, &["SWEEP FLAGS"]),
+    ("sweep", Command::Sweep, &["SWEEP FLAGS", "OVERRIDES"]),
     ("scenarios", Command::Scenarios, &["SCENARIOS"]),
     ("perf", Command::Perf, &["PERF FLAGS"]),
     (
@@ -179,11 +183,13 @@ impl Error for ParseError {}
 const BOOLEAN_FLAGS: &[&str] = &["full", "dry-run", "reconnect", "digest", "help"];
 
 /// A parsed command line: the subcommand plus `--key value` options and
-/// (for `sweep`) one optional positional argument.
+/// (for `sweep`) one optional positional argument. A flag given twice
+/// keeps every value; [`ParsedArgs::get`] reads the last one and
+/// [`ParsedArgs::get_all`] all of them (`run --set`).
 #[derive(Debug, Clone)]
 pub struct ParsedArgs {
     command: Command,
-    options: HashMap<String, String>,
+    options: HashMap<String, Vec<String>>,
     positional: Option<String>,
 }
 
@@ -202,22 +208,20 @@ impl ParsedArgs {
         let command_word = iter.next().ok_or(ParseError::MissingCommand)?;
         let command = Command::parse(command_word.as_ref())
             .ok_or_else(|| ParseError::UnknownCommand(command_word.as_ref().to_string()))?;
-        let mut options = HashMap::new();
+        let mut options: HashMap<String, Vec<String>> = HashMap::new();
         let mut positional: Option<String> = None;
         let mut pending: Option<String> = None;
         for token in iter {
             let token = token.as_ref();
             match pending.take() {
-                Some(flag) => {
-                    options.insert(flag, token.to_string());
-                }
+                Some(flag) => options.entry(flag).or_default().push(token.to_string()),
                 None => {
                     if token == "-h" {
                         // `dagfl <sub> -h` is `dagfl <sub> --help`.
-                        options.insert("help".to_string(), "true".to_string());
+                        options.insert("help".to_string(), vec!["true".to_string()]);
                     } else if let Some(flag) = token.strip_prefix("--") {
                         if BOOLEAN_FLAGS.contains(&flag) {
-                            options.insert(flag.to_string(), "true".to_string());
+                            options.insert(flag.to_string(), vec!["true".to_string()]);
                         } else {
                             pending = Some(flag.to_string());
                         }
@@ -246,9 +250,19 @@ impl ParsedArgs {
         self.command
     }
 
-    /// Raw string option, if present.
+    /// Raw string option, if present (the last value of a repeated
+    /// flag).
     pub fn get(&self, flag: &str) -> Option<&str> {
-        self.options.get(flag).map(String::as_str)
+        self.options.get(flag)?.last().map(String::as_str)
+    }
+
+    /// Every value of a repeatable flag, in command-line order.
+    pub fn get_all<'a>(&'a self, flag: &str) -> impl Iterator<Item = &'a str> {
+        self.options
+            .get(flag)
+            .into_iter()
+            .flatten()
+            .map(String::as_str)
     }
 
     /// Whether a valueless boolean flag (`--full`, `--dry-run`) was
@@ -358,21 +372,27 @@ SCENARIOS:
     Presets resolve at quick scale by default; pass --full (or set
     DAGFL_FULL=1) for the paper's scale — the flag wins over the
     environment. `run --digest` also prints the tangle digest, a
-    backend- and worker-count-independent hash of the final DAG, and
-    `run --workers N` overrides an async scenario's event-loop worker
-    count (results are byte-identical at any count).
+    backend- and worker-count-independent hash of the final DAG.
+
+OVERRIDES:
+    `run --set` and sweep axes name any scenario-file key as
+    `section.key`, or bare when one section holds it (`alpha`). Values
+    use the file syntax; a bare word is a string. A key the scenario
+    does not read is an error. Sweeps add `seed` and `replicate=0..n`.
 
 RUN FLAGS:
     --scenario          scenario file to run
     --preset            scenario preset to run
     --full              resolve presets at the paper's scale
     --digest            also print the final tangle digest
-    --workers           async event-loop worker count     (the scenario's)
+    --set               key=value override, repeatable, e.g.
+                        --set execution.workers=2 --set alpha=1
 
 SWEEP FLAGS:
     <file>              sweep file (scenarios/sweep-*.toml) or sweep preset name
     --preset-base       base scenario preset for an ad-hoc sweep
-    --axes              ad-hoc axes, e.g. \"alpha=0.1,1,10;replicate=0..3\"
+    --axes              ad-hoc axes (see OVERRIDES), e.g.
+                        \"alpha=0.1,1,10;execution.walk_depth_max=20,30\"
     --jobs              worker threads                  (available cores)
     --dry-run           list the expanded cells without running
     --csv               comparison CSV name             (spec default)
@@ -570,7 +590,22 @@ mod tests {
         assert_eq!(args.get_parsed_or("jobs", 1usize).unwrap(), 4);
         let args = ParsedArgs::parse(["run", "--preset", "smoke", "--digest"]).unwrap();
         assert!(args.flag("digest"));
+        assert_eq!(args.get_all("set").count(), 0);
         assert!(!ParsedArgs::parse(["run"]).unwrap().flag("full"));
+    }
+
+    #[test]
+    fn repeated_flags_keep_every_value() {
+        let args = ParsedArgs::parse([
+            "run", "--set", "alpha=1", "--preset", "smoke", "--set", "seed=2",
+        ])
+        .unwrap();
+        assert_eq!(
+            args.get_all("set").collect::<Vec<_>>(),
+            ["alpha=1", "seed=2"]
+        );
+        assert_eq!(args.get("set"), Some("seed=2"));
+        assert_eq!(args.get("preset"), Some("smoke"));
     }
 
     #[test]

@@ -190,17 +190,23 @@ fn config_error(err: CoreError) -> ParseError {
 
 fn dag_config(args: &ParsedArgs, num_clients: usize) -> Result<DagConfig, ParseError> {
     let alpha: f32 = args.get_parsed_or("alpha", 10.0)?;
+    let invalid = |flag: &str, value: &str| ParseError::InvalidValue {
+        flag: flag.into(),
+        value: value.into(),
+    };
     let normalization = match args.get_or("normalization", "simple") {
+        "simple" => Normalization::Simple,
         "dynamic" => Normalization::Dynamic,
-        _ => Normalization::Simple,
+        other => return Err(invalid("normalization", other)),
     };
     let selector = match args.get_or("selector", "accuracy") {
-        "random" => TipSelector::Random,
-        "cumulative" => TipSelector::CumulativeWeight { alpha },
-        _ => TipSelector::Accuracy {
+        "accuracy" => TipSelector::Accuracy {
             alpha,
             normalization,
         },
+        "random" => TipSelector::Random,
+        "cumulative" => TipSelector::CumulativeWeight { alpha },
+        other => return Err(invalid("selector", other)),
     };
     let stop_margin: f32 = args.get_parsed_or("stop-margin", 0.0)?;
     let config = DagConfig {
@@ -534,7 +540,16 @@ fn requested_scale(args: &ParsedArgs) -> Scale {
 /// `dagfl run --scenario <file>` / `dagfl run --preset <name>`: resolve,
 /// validate and execute one declarative scenario, printing the report.
 fn run_scenario(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
-    let mut scenario = match (args.get("scenario"), args.get("preset")) {
+    // Scenario keys change only through --set, so any other flag is a
+    // mistake that must fail rather than be ignored.
+    let known = ["scenario", "preset", "full", "digest", "set"];
+    if let Some(flag) = args.flags().into_iter().find(|f| !known.contains(f)) {
+        return Err(format!(
+            "`dagfl run` has no flag `--{flag}`; set scenario keys with --set section.key=value"
+        )
+        .into());
+    }
+    let scenario = match (args.get("scenario"), args.get("preset")) {
         (Some(path), None) => Scenario::load(path)?,
         (None, Some(name)) => Scenario::preset_at(name, requested_scale(args))?,
         _ => {
@@ -543,21 +558,20 @@ fn run_scenario(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             )
         }
     };
-    // Worker-count override for async scenarios: results are
-    // byte-identical at any count, so CI runs the same scenario at
-    // --workers 1 and --workers N and diffs the digests.
-    if let Some(raw) = args.get("workers") {
-        let workers: usize = args.get_parsed_or("workers", 1)?;
-        if workers == 0 {
-            return Err(format!("`--workers {raw}` is out of range (need >= 1)").into());
-        }
-        match &mut scenario.execution {
-            dagfl_scenario::ExecutionSpec::Async { config, .. } => config.workers = workers,
-            dagfl_scenario::ExecutionSpec::Rounds(_) => {
-                return Err("`--workers` only applies to async-mode scenarios".into())
-            }
-        }
-    }
+    // `--set section.key=value` (repeatable): the same key-path rule as
+    // sweep axes, checked by the scenario reader.
+    let overrides = args
+        .get_all("set")
+        .map(|entry| {
+            entry
+                .split_once('=')
+                .ok_or_else(|| ParseError::InvalidValue {
+                    flag: "set".into(),
+                    value: entry.into(),
+                })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let scenario = scenario.with_overrides(overrides.into_iter().map(|(k, v)| (k.trim(), v)))?;
     let runner = ScenarioRunner::new(scenario)?;
     eprintln!(
         "# scenario={} mode={}",
@@ -1008,6 +1022,8 @@ mod tests {
             (vec!["async", "--slowdown", "0.5"], "slowdown"),
             (vec!["dag", "--lr", "-1"], "lr"),
             (vec!["dag", "--batches", "0"], "batches"),
+            (vec!["dag", "--selector", "randon"], "selector"),
+            (vec!["dag", "--normalization", "dynamc"], "normalization"),
         ] {
             let args = ParsedArgs::parse(flags.clone()).unwrap();
             let err = if flags[0] == "async" {
@@ -1051,6 +1067,37 @@ mod tests {
             .contains("--scenario"));
         let args = ParsedArgs::parse(["run", "--scenario", "a", "--preset", "b"]).unwrap();
         assert!(run_command(&args).is_err());
+    }
+
+    #[test]
+    fn run_set_overrides_keys_through_the_scenario_reader() {
+        let run = |extra: &[&str]| {
+            let mut argv = vec!["run", "--preset", "smoke"];
+            argv.extend_from_slice(extra);
+            run_command(&ParsedArgs::parse(argv).unwrap())
+        };
+        run(&["--set", "execution.walk_depth_max=20", "--set", "alpha=1"]).unwrap();
+        for (set, needle) in [
+            ("execution.workers=2", "execution.workers"),
+            ("attack.fraction=0.1", "[attack]"),
+            ("warp_factor=9", "warp_factor"),
+            ("alpha", "set"),
+            ("alpha=lots", "execution.alpha"),
+        ] {
+            let err = run(&["--set", set]).unwrap_err().to_string();
+            assert!(err.contains(needle), "{set}: {err}");
+        }
+        // The old worker flag is refused, not ignored.
+        let err = run(&["--workers", "2"]).unwrap_err().to_string();
+        assert!(err.contains("--set"), "{err}");
+        // Async scenarios take a worker count; zero fails validation.
+        let chaos = |set: &str| {
+            run_command(
+                &ParsedArgs::parse(["run", "--preset", "chaos-smoke", "--set", set]).unwrap(),
+            )
+        };
+        chaos("execution.workers=2").unwrap();
+        assert!(chaos("execution.workers=0").is_err());
     }
 
     #[test]

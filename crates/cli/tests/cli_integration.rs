@@ -202,3 +202,45 @@ fn analysis_presets_match_their_goldens() {
         assert_eq!(String::from_utf8_lossy(&out.stdout), golden, "{preset}");
     }
 }
+
+/// Every sweep preset, and its checked-in `scenarios/<name>.toml` dump,
+/// expands to the cells and comparison-CSV header in
+/// `tests/golden/sweeps.txt`. The golden pins what sweep axes mean: a
+/// change to how an axis resolves, names its cells or titles its CSV
+/// column shows up here.
+#[test]
+fn sweep_presets_match_their_golden_expansion() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dagfl = |args: &[&str], results: &std::path::Path| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dagfl"))
+            .args(args)
+            .env_remove("DAGFL_FULL")
+            .env("DAGFL_RESULTS", results)
+            .output()
+            .expect("the dagfl binary runs");
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let results = std::env::temp_dir().join("dagfl_cli_sweep_golden");
+    let mut expansion = String::new();
+    for (name, _) in dagfl_scenario::SweepSpec::preset_names() {
+        let _ = std::fs::remove_dir_all(&results);
+        let listing = dagfl(&["sweep", name, "--dry-run"], &results);
+        let file = root.join(format!("scenarios/{name}.toml"));
+        let file_listing = dagfl(&["sweep", file.to_str().unwrap(), "--dry-run"], &results);
+        assert_eq!(file_listing, listing, "{name}: file and preset differ");
+        dagfl(&["sweep", name, "--jobs", "2"], &results);
+        let csv = std::fs::read_dir(&results)
+            .expect("the sweep wrote its comparison CSV")
+            .map(|entry| entry.unwrap().path())
+            .find(|path| path.extension().is_some_and(|ext| ext == "csv"))
+            .expect("one comparison CSV");
+        let text = std::fs::read_to_string(csv).unwrap();
+        expansion.push_str(&listing);
+        expansion.push_str(&format!("csv header: {}\n", text.lines().next().unwrap()));
+    }
+    let _ = std::fs::remove_dir_all(&results);
+    let golden =
+        std::fs::read_to_string(root.join("tests/golden/sweeps.txt")).expect("golden file present");
+    assert_eq!(expansion, golden);
+}

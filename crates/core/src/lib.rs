@@ -113,7 +113,7 @@ pub use config::{DagConfig, Hyperparameters, Normalization, PublishGate, TipSele
 pub use delay::{ComputeProfile, DelayModel, StaleTipPolicy};
 pub use error::CoreError;
 pub use evaluator::{EvalCounters, ModelEvaluator};
-pub use exec::{ExecutionMode, TangleView};
+pub use exec::ExecutionMode;
 pub use fault::{CrashWindow, FaultPlan, FaultyTransport, PartitionWindow, FAULT_STREAM};
 pub use metrics::{
     approval_pureness_of, client_graph_of, tangle_digest, ClientGraphTracker, RoundMetrics,
@@ -124,7 +124,6 @@ pub use net::{
 };
 pub use payload::{
     perturbed_model_tangle, ModelFactory, ModelPayload, ModelTangle, ShardedModelTangle,
-    SharedModelTangle,
 };
 pub use peer::{run_peer, PeerConfig, PeerReport};
 pub use poisoning::{mean_accuracy_series, PoisonRoundMetrics, PoisoningConfig, PoisoningScenario};

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dagfl_nn::Model;
-use dagfl_tangle::{ShardedTangle, SharedTangle, Tangle};
+use dagfl_tangle::{ShardedTangle, Tangle};
 
 /// A published model update: the full flat parameter vector, shared
 /// immutably between the tangle and any evaluation caches.
@@ -58,9 +58,6 @@ impl From<Vec<f32>> for ModelPayload {
 
 /// A tangle of model updates.
 pub type ModelTangle = Tangle<ModelPayload>;
-
-/// A thread-safe tangle of model updates.
-pub type SharedModelTangle = SharedTangle<ModelPayload>;
 
 /// A concurrent, shard-indexed tangle of model updates whose read path
 /// never takes a global lock — the storage backend of both simulators.

@@ -26,9 +26,12 @@
 //!   experiments by name (`"table1-fmnist"`, `"fig06-alpha10"`,
 //!   `"poisoning-p0.2"`, `"async-cohorts"`, ...) at quick or full
 //!   [`Scale`].
-//! * **Sweeps** — [`SweepSpec`] expands a base scenario over typed
-//!   parameter axes (`execution.alpha = [0.1, 1, 10, 100]`,
-//!   `replicate = 0..5`) into a validated grid; [`SweepRunner`] executes
+//! * **Overrides** — [`Scenario::with_override`] sets any key a
+//!   scenario file can hold (`execution.alpha`, `execution.workers`)
+//!   through the same strict reader, so one rule decides what applies.
+//! * **Sweeps** — [`SweepSpec`] expands a base scenario over key-path
+//!   axes (`execution.alpha = [0.1, 1, 10, 100]`, `replicate = 0..5`)
+//!   into a validated grid; [`SweepRunner`] executes
 //!   the cells on a worker pool and aggregates a [`SweepReport`] with a
 //!   scheduling-independent comparison CSV. Sweep files
 //!   (`scenarios/sweep-*.toml`) run with `dagfl sweep <file>`.
@@ -71,6 +74,6 @@ pub use spec::{
     Scenario, ScenarioError, TransportSpec,
 };
 pub use sweep::{
-    is_sweep_toml, SweepAxis, SweepBase, SweepCell, SweepCellReport, SweepField, SweepReport,
-    SweepRunner, SweepSpec, SWEEP_PRESET_NAMES,
+    is_sweep_toml, SweepAxis, SweepBase, SweepCell, SweepCellReport, SweepReport, SweepRunner,
+    SweepSpec, SWEEP_PRESET_NAMES,
 };

@@ -18,7 +18,7 @@ use dagfl_datasets::{
 };
 use dagfl_nn::{CharRnn, Dense, MatmulBackendKind, Model, Relu, Sequential};
 
-use crate::text::{format_f32, format_f64, Document, Table, Value};
+use crate::text::{format_f32, format_f64, parse_override, Document, Table, Value};
 
 /// Errors from building, parsing, validating or running a scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -448,6 +448,19 @@ pub enum ExecutionSpec {
 }
 
 impl ExecutionSpec {
+    /// An asynchronous execution. The round-scheduling fields that
+    /// [`AsyncConfig`] documents as ignored (`rounds`,
+    /// `clients_per_round`, `parallel`) are reset to the
+    /// [`DagConfig`] defaults, so async specs that run alike compare
+    /// equal and the file round trip is exact without writing them.
+    pub fn asynchronous(mut config: AsyncConfig, transport: TransportSpec) -> Self {
+        let defaults = DagConfig::default();
+        config.dag.rounds = defaults.rounds;
+        config.dag.clients_per_round = defaults.clients_per_round;
+        config.dag.parallel = defaults.parallel;
+        ExecutionSpec::Async { config, transport }
+    }
+
     /// The `mode` word used in scenario files.
     pub fn mode(&self) -> &'static str {
         match self {
@@ -733,12 +746,10 @@ impl Scenario {
     }
 
     /// Switches to asynchronous execution with the given configuration
-    /// over the loopback transport (builder style).
+    /// over the loopback transport (builder style; see
+    /// [`ExecutionSpec::asynchronous`]).
     pub fn asynchronous(mut self, config: AsyncConfig) -> Self {
-        self.execution = ExecutionSpec::Async {
-            config,
-            transport: TransportSpec::default(),
-        };
+        self.execution = ExecutionSpec::asynchronous(config, TransportSpec::default());
         self
     }
 
@@ -760,9 +771,12 @@ impl Scenario {
         self
     }
 
-    /// Sets the number of concurrently active clients per round.
+    /// Sets the number of concurrently active clients per round (rounds
+    /// mode) — a no-op for async scenarios, which have no rounds.
     pub fn clients_per_round(mut self, n: usize) -> Self {
-        self.execution.dag_mut().clients_per_round = n;
+        if let ExecutionSpec::Rounds(dag) = &mut self.execution {
+            dag.clients_per_round = n;
+        }
         self
     }
 
@@ -1102,6 +1116,16 @@ impl Scenario {
             line: e.line,
             message: e.message,
         })?;
+        Self::from_document(&doc)
+    }
+
+    /// The canonical document of this scenario ([`Scenario::to_toml`],
+    /// parsed).
+    fn document(&self) -> Document {
+        Document::parse(&self.to_toml()).expect("canonical scenario text always reparses")
+    }
+
+    fn from_document(doc: &Document) -> Result<Self, ScenarioError> {
         for section in doc.section_names() {
             if !matches!(
                 section,
@@ -1198,6 +1222,92 @@ impl Scenario {
         })
     }
 
+    /// This scenario with the key at `path` set to `value`: the one way
+    /// to adjust a scenario from outside (`dagfl run --set`, sweep axes).
+    ///
+    /// `path` is `section.key` as in scenario files, or a bare `key` for
+    /// the one section that holds it (`alpha` is `execution.alpha`).
+    /// `value` uses the file grammar, except that a bare word is a
+    /// string (`selector=random`). The key is set in the canonical
+    /// document ([`Scenario::to_toml`]) — never creating a section —
+    /// which is read back by the strict file reader and validated. The
+    /// reader reads a key only where it has an effect, so an override
+    /// that does not apply (`execution.alpha` on a random selector,
+    /// `execution.rounds` in async mode) is an error naming the path.
+    /// Keys the new value makes inapplicable (`alpha` after
+    /// `selector = "random"`) are dropped.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first unresolvable path, malformed value,
+    /// inapplicable key or [`Scenario::validate`] failure.
+    pub fn with_override(&self, path: &str, value: &str) -> Result<Scenario, ScenarioError> {
+        self.with_overrides([(path, value)])
+    }
+
+    /// [`Scenario::with_override`] for several keys: every key is set
+    /// before the document is read back and validated, so the
+    /// combinations in between never need to be valid.
+    ///
+    /// # Errors
+    ///
+    /// As [`Scenario::with_override`].
+    pub fn with_overrides<'a>(
+        &self,
+        overrides: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> Result<Scenario, ScenarioError> {
+        let mut doc = self.document();
+        let mut paths = Vec::new();
+        for (path, raw) in overrides {
+            let path = resolve_key(&doc, path)?;
+            let (section, key) = path.split_once('.').expect("resolved paths are dotted");
+            if doc.section(section).is_none() {
+                return Err(ScenarioError::Invalid(format!(
+                    "`{path}` does not apply: the scenario has no [{section}] section"
+                )));
+            }
+            let value = parse_override(raw).map_err(|_| ScenarioError::InvalidValue {
+                key: path.clone(),
+                value: raw.to_string(),
+                expected: "a number, true/false, a string, a [list] or a bare word".into(),
+            })?;
+            doc.section_mut(section).set(key, value);
+            paths.push(path);
+        }
+        loop {
+            match Scenario::from_document(&doc) {
+                Err(ScenarioError::UnknownKey { key }) if paths.contains(&key) => {
+                    return Err(ScenarioError::Invalid(format!(
+                        "`{key}` does not apply to this scenario: it is not read for its \
+                         mode, dataset, model, selector or delay model"
+                    )))
+                }
+                // A key of the scenario itself that an override made
+                // inapplicable; each pass removes one, so this ends.
+                Err(ScenarioError::UnknownKey { key }) => match key.split_once('.') {
+                    Some((section, name)) => doc.section_mut(section).remove(name),
+                    None => return Err(ScenarioError::UnknownKey { key }),
+                },
+                Err(e) => return Err(e),
+                Ok(scenario) => {
+                    scenario.validate()?;
+                    return Ok(scenario);
+                }
+            }
+        }
+    }
+
+    /// The full `section.key` path of an override key; see
+    /// [`Scenario::with_override`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::UnknownKey`] for a bare key no section
+    /// holds and [`ScenarioError::Invalid`] for one several hold.
+    pub(crate) fn key_path(&self, key: &str) -> Result<String, ScenarioError> {
+        resolve_key(&self.document(), key)
+    }
+
     /// Reads and parses a scenario file.
     ///
     /// # Errors
@@ -1224,6 +1334,28 @@ impl Scenario {
         }
         std::fs::write(path, self.to_toml())
             .map_err(|e| ScenarioError::Io(format!("writing {}: {e}", path.display())))
+    }
+}
+
+/// Resolves an override key against a scenario document: a dotted path
+/// stands as written, a bare key names the one section that holds it.
+fn resolve_key(doc: &Document, key: &str) -> Result<String, ScenarioError> {
+    if key.contains('.') {
+        return Ok(key.to_string());
+    }
+    let holders: Vec<&str> = doc
+        .section_names()
+        .filter(|&section| doc.section(section).is_some_and(|t| t.get(key).is_some()))
+        .collect();
+    match holders[..] {
+        [section] => Ok(format!("{section}.{key}")),
+        [] => Err(ScenarioError::UnknownKey {
+            key: key.to_string(),
+        }),
+        _ => Err(ScenarioError::Invalid(format!(
+            "`{key}` is a key of [{}]; write the full `section.{key}` path",
+            holders.join("] and [")
+        ))),
     }
 }
 
@@ -1323,9 +1455,13 @@ fn write_model(table: &mut Table, model: &ModelSpec) {
     }
 }
 
-fn write_dag(table: &mut Table, dag: &DagConfig) {
-    table.set("rounds", usize_value(dag.rounds));
-    table.set("clients_per_round", usize_value(dag.clients_per_round));
+/// Writes the DAG keys; the round-scheduling ones only in rounds mode,
+/// the one mode that reads them.
+fn write_dag(table: &mut Table, dag: &DagConfig, rounds_mode: bool) {
+    if rounds_mode {
+        table.set("rounds", usize_value(dag.rounds));
+        table.set("clients_per_round", usize_value(dag.clients_per_round));
+    }
     table.set("local_epochs", usize_value(dag.local_epochs));
     table.set("local_batches", usize_value(dag.local_batches));
     table.set("batch_size", usize_value(dag.batch_size));
@@ -1381,12 +1517,18 @@ fn write_dag(table: &mut Table, dag: &DagConfig) {
     table.set("frozen_prefix", usize_value(dag.frozen_prefix));
     table.set("publication_dropout", f32_value(dag.publication_dropout));
     table.set("seed", u64_value(dag.seed));
-    table.set("parallel", Value::Bool(dag.parallel));
+    if rounds_mode {
+        table.set("parallel", Value::Bool(dag.parallel));
+    }
 }
 
 fn write_execution(table: &mut Table, execution: &ExecutionSpec) {
     table.set("mode", Value::Str(execution.mode().into()));
-    write_dag(table, execution.dag());
+    write_dag(
+        table,
+        execution.dag(),
+        matches!(execution, ExecutionSpec::Rounds(_)),
+    );
     if let ExecutionSpec::Async { config, transport } = execution {
         table.set("transport", Value::Str(transport.mode().into()));
         if let TransportSpec::Tcp { tracker, port } = transport {
@@ -1719,27 +1861,31 @@ fn read_model(reader: &Reader<'_>) -> Result<ModelSpec, ScenarioError> {
     }
 }
 
-fn read_dag(reader: &Reader<'_>, dataset: &DatasetSpec) -> Result<DagConfig, ScenarioError> {
+/// Reads the DAG keys both modes share. Each key is read only where it
+/// has an effect — `alpha` for the selectors that have one,
+/// `normalization` for the accuracy selector, and the round-scheduling
+/// keys by [`read_execution`] in rounds mode only — so a key that would
+/// be ignored is an unknown-key error, never a silent no-op.
+fn read_dag(reader: &Reader<'_>) -> Result<DagConfig, ScenarioError> {
     let defaults = DagConfig::default();
-    let alpha = reader.f32_or("alpha", 10.0)?;
-    let normalization = match reader.str("normalization")?.as_deref() {
-        None | Some("simple") => Normalization::Simple,
-        Some("dynamic") => Normalization::Dynamic,
-        Some(other) => {
-            return Err(ScenarioError::InvalidValue {
-                key: reader.path("normalization"),
-                value: other.into(),
-                expected: "simple or dynamic".into(),
-            })
-        }
-    };
+    let alpha = || reader.f32_or("alpha", 10.0);
     let tip_selector = match reader.str("selector")?.as_deref() {
         None | Some("accuracy") => TipSelector::Accuracy {
-            alpha,
-            normalization,
+            alpha: alpha()?,
+            normalization: match reader.str("normalization")?.as_deref() {
+                None | Some("simple") => Normalization::Simple,
+                Some("dynamic") => Normalization::Dynamic,
+                Some(other) => {
+                    return Err(ScenarioError::InvalidValue {
+                        key: reader.path("normalization"),
+                        value: other.into(),
+                        expected: "simple or dynamic".into(),
+                    })
+                }
+            },
         },
         Some("random") => TipSelector::Random,
-        Some("cumulative") => TipSelector::CumulativeWeight { alpha },
+        Some("cumulative") => TipSelector::CumulativeWeight { alpha: alpha()? },
         Some(other) => {
             return Err(ScenarioError::InvalidValue {
                 key: reader.path("selector"),
@@ -1761,11 +1907,6 @@ fn read_dag(reader: &Reader<'_>, dataset: &DatasetSpec) -> Result<DagConfig, Sce
         }
     };
     Ok(DagConfig {
-        rounds: reader.usize_or("rounds", defaults.rounds)?,
-        clients_per_round: reader.usize_or(
-            "clients_per_round",
-            defaults.clients_per_round.min(dataset.num_clients().max(1)),
-        )?,
         local_epochs: reader.usize_or("local_epochs", defaults.local_epochs)?,
         local_batches: reader.usize_or("local_batches", defaults.local_batches)?,
         batch_size: reader.usize_or("batch_size", defaults.batch_size)?,
@@ -1780,7 +1921,7 @@ fn read_dag(reader: &Reader<'_>, dataset: &DatasetSpec) -> Result<DagConfig, Sce
         frozen_prefix: reader.usize_or("frozen_prefix", defaults.frozen_prefix)?,
         publication_dropout: reader.f32_or("publication_dropout", defaults.publication_dropout)?,
         seed: reader.u64_or("seed", defaults.seed)?,
-        parallel: reader.bool_or("parallel", defaults.parallel)?,
+        ..defaults
     })
 }
 
@@ -1832,10 +1973,21 @@ fn read_execution(
     dataset: &DatasetSpec,
 ) -> Result<ExecutionSpec, ScenarioError> {
     let mode = reader.str("mode")?.unwrap_or_else(|| "rounds".into());
-    let dag = read_dag(reader, dataset)?;
     match mode.as_str() {
-        "rounds" => Ok(ExecutionSpec::Rounds(dag)),
+        "rounds" => {
+            let defaults = DagConfig::default();
+            Ok(ExecutionSpec::Rounds(DagConfig {
+                rounds: reader.usize_or("rounds", defaults.rounds)?,
+                clients_per_round: reader.usize_or(
+                    "clients_per_round",
+                    defaults.clients_per_round.min(dataset.num_clients().max(1)),
+                )?,
+                parallel: reader.bool_or("parallel", defaults.parallel)?,
+                ..read_dag(reader)?
+            }))
+        }
         "async" => {
+            let dag = read_dag(reader)?;
             let defaults = AsyncConfig::default();
             let stale_policy = match reader.str("stale_policy")?.as_deref() {
                 None | Some("publish") => StaleTipPolicy::PublishAnyway,
@@ -1850,15 +2002,18 @@ fn read_execution(
                 }
             };
             let base = reader.f64_or("delay", 2.0)?;
-            let jitter = reader.f64_or("jitter", 0.0)?;
+            let jitter = || reader.f64_or("jitter", 0.0);
             let delay = match reader.str("delay_model")?.as_deref() {
                 None | Some("constant") => DelayModel::Constant { delay: base },
-                Some("jitter") => DelayModel::UniformJitter { base, jitter },
+                Some("jitter") => DelayModel::UniformJitter {
+                    base,
+                    jitter: jitter()?,
+                },
                 Some("cohorts") => DelayModel::Cohorts {
                     slow_fraction: reader.f64_or("slow_fraction", 0.3)?,
                     fast: base,
                     slow: reader.f64_or("slow_delay", 8.0)?,
-                    jitter,
+                    jitter: jitter()?,
                 },
                 Some(other) => {
                     return Err(ScenarioError::InvalidValue {
@@ -1886,8 +2041,8 @@ fn read_execution(
                 }
             };
             let transport = read_transport(reader)?;
-            Ok(ExecutionSpec::Async {
-                config: AsyncConfig {
+            Ok(ExecutionSpec::asynchronous(
+                AsyncConfig {
                     dag,
                     total_activations: reader
                         .usize_or("activations", defaults.total_activations)?,
@@ -1900,7 +2055,7 @@ fn read_execution(
                     workers: reader.usize_or("workers", defaults.workers)?,
                 },
                 transport,
-            })
+            ))
         }
         other => Err(ScenarioError::InvalidValue {
             key: "execution.mode".into(),
@@ -2504,6 +2659,314 @@ mod tests {
         }
         .build_factory(12, POETS_VOCAB.len())(&mut rng);
         assert!(rnn.num_parameters() > 0);
+    }
+
+    /// The override bases: rounds mode under all three selectors, an
+    /// attack, the poets and fedprox datasets, a by-author dataset
+    /// without an attack, the streamed generator, and async mode under
+    /// each delay model.
+    fn override_bases() -> Vec<Scenario> {
+        use crate::presets::Scale;
+        let preset = |name: &str| Scenario::preset_at(name, Scale::Quick).unwrap();
+        let smoke = preset("smoke");
+        let mut jitter = preset("async-delay2");
+        if let ExecutionSpec::Async { config, .. } = &mut jitter.execution {
+            config.delay = DelayModel::UniformJitter {
+                base: 1.0,
+                jitter: 0.5,
+            };
+        }
+        let mut author = smoke.clone();
+        author.dataset = DatasetSpec::FmnistAuthor {
+            clients: 4,
+            samples: 30,
+            seed: 42,
+        };
+        vec![
+            smoke.clone(),
+            smoke.clone().with_selector(TipSelector::Random),
+            smoke.with_selector(TipSelector::CumulativeWeight { alpha: 2.5 }),
+            preset("poisoning-p0.2"),
+            preset("table1-poets"),
+            Scenario::new(
+                "fedprox",
+                DatasetSpec::FedProx {
+                    clients: 8,
+                    min_samples: 30,
+                    max_samples: 60,
+                    seed: 3,
+                },
+            ),
+            author,
+            preset("scale-10k"),
+            preset("async-delay2"),
+            jitter,
+            preset("async-cohorts"),
+        ]
+    }
+
+    /// Every field the sweep engine once listed by hand: with an
+    /// override, on every base, it either lands exactly where setting
+    /// the struct field would, or — where the base has no such field —
+    /// fails naming the path. (`seed` and `replicate` are sweep names,
+    /// not key paths; the sweep tests cover them.)
+    #[test]
+    fn overrides_match_direct_field_writes_or_name_the_path() {
+        type Write = fn(&mut Scenario) -> bool;
+        fn dag_rounds(s: &mut Scenario) -> Option<&mut DagConfig> {
+            match &mut s.execution {
+                ExecutionSpec::Rounds(dag) => Some(dag),
+                ExecutionSpec::Async { .. } => None,
+            }
+        }
+        fn async_config(s: &mut Scenario) -> Option<&mut AsyncConfig> {
+            match &mut s.execution {
+                ExecutionSpec::Async { config, .. } => Some(config),
+                ExecutionSpec::Rounds(_) => None,
+            }
+        }
+        let cases: [(&str, &str, Write); 15] = [
+            ("execution.alpha", "0.1", |s| {
+                match &mut s.execution.dag_mut().tip_selector {
+                    TipSelector::Accuracy { alpha, .. }
+                    | TipSelector::CumulativeWeight { alpha } => *alpha = 0.1,
+                    TipSelector::Random => return false,
+                }
+                true
+            }),
+            ("execution.rounds", "7", |s| {
+                dag_rounds(s).map(|dag| dag.rounds = 7).is_some()
+            }),
+            ("execution.clients_per_round", "3", |s| {
+                dag_rounds(s).map(|dag| dag.clients_per_round = 3).is_some()
+            }),
+            ("execution.local_epochs", "2", |s| {
+                s.execution.dag_mut().local_epochs = 2;
+                true
+            }),
+            ("execution.local_batches", "3", |s| {
+                s.execution.dag_mut().local_batches = 3;
+                true
+            }),
+            ("execution.batch_size", "4", |s| {
+                s.execution.dag_mut().batch_size = 4;
+                true
+            }),
+            ("execution.learning_rate", "0.1", |s| {
+                s.execution.dag_mut().learning_rate = 0.1;
+                true
+            }),
+            ("dataset.relaxation", "0.1", |s| match &mut s.dataset {
+                DatasetSpec::Fmnist { relaxation, .. }
+                | DatasetSpec::FmnistStreamed { relaxation, .. } => {
+                    *relaxation = 0.1;
+                    true
+                }
+                _ => false,
+            }),
+            ("dataset.clients", "12", |s| match &mut s.dataset {
+                DatasetSpec::Fmnist { clients, .. }
+                | DatasetSpec::FmnistStreamed { clients, .. }
+                | DatasetSpec::FmnistAuthor { clients, .. }
+                | DatasetSpec::Cifar { clients, .. }
+                | DatasetSpec::FedProx { clients, .. } => {
+                    *clients = 12;
+                    true
+                }
+                DatasetSpec::Poets { .. } => false,
+            }),
+            ("dataset.samples", "20", |s| match &mut s.dataset {
+                DatasetSpec::Fmnist { samples, .. }
+                | DatasetSpec::FmnistStreamed { samples, .. }
+                | DatasetSpec::FmnistAuthor { samples, .. }
+                | DatasetSpec::Poets { samples, .. }
+                | DatasetSpec::Cifar { samples, .. } => {
+                    *samples = 20;
+                    true
+                }
+                DatasetSpec::FedProx { .. } => false,
+            }),
+            ("attack.fraction", "0.1", |s| {
+                s.attack.as_mut().map(|a| a.fraction = 0.1).is_some()
+            }),
+            ("execution.activations", "9", |s| {
+                async_config(s).map(|c| c.total_activations = 9).is_some()
+            }),
+            ("execution.interarrival", "0.5", |s| {
+                async_config(s).map(|c| c.mean_interarrival = 0.5).is_some()
+            }),
+            ("execution.train_time", "0.25", |s| {
+                async_config(s).map(|c| c.train_time = 0.25).is_some()
+            }),
+            ("execution.delay", "0.5", |s| {
+                async_config(s)
+                    .map(|c| match &mut c.delay {
+                        DelayModel::Constant { delay } => *delay = 0.5,
+                        DelayModel::UniformJitter { base, .. } => *base = 0.5,
+                        DelayModel::Cohorts { fast, .. } => *fast = 0.5,
+                    })
+                    .is_some()
+            }),
+        ];
+        for base in override_bases() {
+            assert!(base.validate().is_ok(), "{}", base.name);
+            for (path, value, write) in cases {
+                let mut expected = base.clone();
+                let outcome = base.with_override(path, value);
+                if write(&mut expected) {
+                    assert_eq!(outcome, Ok(expected), "{path} = {value} on {}", base.name);
+                } else {
+                    let err = outcome.expect_err(path);
+                    assert!(
+                        err.to_string().contains(path),
+                        "{path} on {}: {err}",
+                        base.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn new_keys_apply_with_no_code_per_key() {
+        use crate::presets::Scale;
+        let smoke = Scenario::preset_at("smoke", Scale::Quick).unwrap();
+        let deeper = smoke
+            .with_override("execution.walk_depth_max", "30")
+            .unwrap();
+        assert_eq!(deeper.execution.dag().walk_depth, (15, 30));
+        let cohorts = Scenario::preset_at("async-cohorts", Scale::Quick).unwrap();
+        let slower = cohorts.with_override("slowdown", "6.0").unwrap();
+        match slower.execution {
+            ExecutionSpec::Async { config, .. } => assert_eq!(
+                config.compute,
+                ComputeProfile::MatchNetworkCohort { slowdown: 6.0 }
+            ),
+            other => panic!("unexpected execution {other:?}"),
+        }
+        let workers = cohorts
+            .with_overrides([("execution.workers", "2"), ("output.recent_window", "9")])
+            .unwrap();
+        assert_eq!(workers.output.recent_window, 9);
+        assert!(matches!(
+            workers.execution,
+            ExecutionSpec::Async { ref config, .. } if config.workers == 2
+        ));
+        // Absent optional keys are set, too.
+        let margin = smoke
+            .with_override("execution.stop_margin", "0.05")
+            .unwrap();
+        assert_eq!(margin.execution.dag().walk_stop_margin, Some(0.05));
+    }
+
+    #[test]
+    fn overrides_reject_what_the_reader_rejects() {
+        use crate::presets::Scale;
+        let smoke = Scenario::preset_at("smoke", Scale::Quick).unwrap();
+        // A bare key no section holds, and one two sections hold.
+        assert!(matches!(
+            smoke.with_override("warp_factor", "9"),
+            Err(ScenarioError::UnknownKey { ref key }) if key == "warp_factor"
+        ));
+        let err = smoke.with_override("seed", "7").unwrap_err();
+        assert!(
+            err.to_string().contains("[dataset] and [execution]"),
+            "{err}"
+        );
+        // A mistyped value names the key.
+        assert!(matches!(
+            smoke.with_override("alpha", "lots"),
+            Err(ScenarioError::InvalidValue { ref key, .. }) if key == "execution.alpha"
+        ));
+        // Malformed values are errors, not strings.
+        assert!(matches!(
+            smoke.with_override("model.hidden", "[16, x]"),
+            Err(ScenarioError::InvalidValue { ref key, .. }) if key == "model.hidden"
+        ));
+        // Out-of-range values fail validation.
+        assert!(smoke
+            .with_override("execution.learning_rate", "-1")
+            .is_err());
+        // Bare words are strings, so switching variants works; keys the
+        // switch makes inapplicable (alpha, normalization) are dropped.
+        let random = smoke.with_override("selector", "random").unwrap();
+        assert_eq!(random.execution.dag().tip_selector, TipSelector::Random);
+        assert!(!random.to_toml().contains("alpha"));
+        // ...but never the overridden key itself.
+        let err = smoke
+            .with_overrides([("selector", "random"), ("alpha", "3")])
+            .unwrap_err();
+        assert!(err.to_string().contains("execution.alpha"), "{err}");
+    }
+
+    #[test]
+    fn async_execution_normalizes_the_ignored_round_fields() {
+        let config = AsyncConfig {
+            dag: DagConfig {
+                rounds: 3,
+                clients_per_round: 2,
+                parallel: false,
+                ..DagConfig::default()
+            },
+            ..AsyncConfig::default()
+        };
+        let execution = ExecutionSpec::asynchronous(config, TransportSpec::Loopback);
+        let defaults = DagConfig::default();
+        let dag = execution.dag();
+        assert_eq!(
+            (dag.rounds, dag.clients_per_round, dag.parallel),
+            (
+                defaults.rounds,
+                defaults.clients_per_round,
+                defaults.parallel
+            )
+        );
+        // The writer leaves them out, and the reader refuses them.
+        let text = tiny().asynchronous(config).to_toml();
+        for key in ["rounds", "clients_per_round", "parallel"] {
+            assert!(!text.contains(&format!("\n{key} =")), "{key}: {text}");
+        }
+        let base = "name = \"x\"\n[dataset]\nkind = \"fmnist\"\n[execution]\nmode = \"async\"\n";
+        for (line, key) in [
+            ("rounds = 5", "execution.rounds"),
+            ("clients_per_round = 2", "execution.clients_per_round"),
+            ("parallel = false", "execution.parallel"),
+            ("jitter = 1.0", "execution.jitter"),
+        ] {
+            let err = Scenario::from_toml(&format!("{base}{line}\n")).unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::UnknownKey { key: ref k } if k == key),
+                "{line}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn selector_keys_are_read_only_where_they_apply() {
+        let base = "name = \"x\"\n[dataset]\nkind = \"fmnist\"\n[execution]\n";
+        for (lines, key) in [
+            ("selector = \"random\"\nalpha = 10.0\n", "execution.alpha"),
+            (
+                "selector = \"random\"\nnormalization = \"dynamic\"\n",
+                "execution.normalization",
+            ),
+            (
+                "selector = \"cumulative\"\nnormalization = \"simple\"\n",
+                "execution.normalization",
+            ),
+        ] {
+            let err = Scenario::from_toml(&format!("{base}{lines}")).unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::UnknownKey { key: ref k } if k == key),
+                "{lines}: {err}"
+            );
+        }
+        let s = Scenario::from_toml(&format!("{base}selector = \"cumulative\"\nalpha = 2.0\n"))
+            .unwrap();
+        assert_eq!(
+            s.execution.dag().tip_selector,
+            TipSelector::CumulativeWeight { alpha: 2.0 }
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The parameter-grid sweep engine: expand one base [`Scenario`] over
-//! typed axes, run the cells on a worker pool, aggregate the reports.
+//! key-path axes, run the cells on a worker pool, aggregate the reports.
 //!
 //! The paper's results are all *sweeps* — Figures 5–8 sweep the walk
 //! randomness α, Table 1 sweeps datasets, Figures 12–14 sweep poisoning
@@ -7,9 +7,10 @@
 //!
 //! * a **base scenario** ([`SweepBase`]): a preset name, a scenario
 //!   file, or an inline [`Scenario`] value,
-//! * one or more **axes** ([`SweepAxis`]): a typed field path
-//!   ([`SweepField`]) plus the values it takes
-//!   (`execution.alpha = [0.1, 1, 10, 100]`, `replicate = 0..5`),
+//! * one or more **axes** ([`SweepAxis`]): a scenario key path applied
+//!   by [`Scenario::with_override`], the rule behind `dagfl run --set`
+//!   (`execution.alpha = [0.1, 1, 10, 100]`), or `seed` (the master
+//!   seed) or `replicate = 0..5` (derived seeds),
 //! * the cross-product of the axes, optionally capped
 //!   ([`SweepSpec::max_cells`]).
 //!
@@ -48,362 +49,38 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use dagfl_core::csv::{to_csv_string, write_csv};
-use dagfl_core::{derive_seed, DelayModel, TipSelector};
+use dagfl_core::derive_seed;
 
 use crate::presets::Scale;
 use crate::runner::{RunReport, ScenarioRunner};
-use crate::spec::{DatasetSpec, ExecutionSpec, Reader, Scenario, ScenarioError};
+use crate::spec::{Reader, Scenario, ScenarioError};
 use crate::text::{Document, Value};
+
+/// The scenario sections an inline sweep base carries.
+const SCENARIO_SECTIONS: [&str; 7] = [
+    "dataset",
+    "model",
+    "execution",
+    "attack",
+    "faults",
+    "analysis",
+    "output",
+];
 
 /// The longest expansion a single range axis may produce; a backstop
 /// against `0..9999999999` typos, far above any real grid.
 const MAX_RANGE_LEN: u64 = 10_000;
 
 // ---------------------------------------------------------------------------
-// Typed field paths
-// ---------------------------------------------------------------------------
-
-/// A sweepable scenario field, addressed by a typed path.
-///
-/// Each variant knows its canonical dotted path (used in `[axes]` keys,
-/// CSV columns and error messages), which base scenarios it applies to,
-/// and how to write a value into a [`Scenario`]. Unknown paths and axes
-/// that target a field the base scenario's [`ExecutionSpec`] variant
-/// (or dataset, or attack section) does not have are [`SweepSpec::validate`]
-/// errors, never silent no-ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepField {
-    /// Master seed (`seed`): dataset generator and simulation together,
-    /// like [`Scenario::with_seed`].
-    Seed,
-    /// Replicate index (`replicate`): sets the master seed to
-    /// `derive_seed(base seed, index)`, the canonical way to run
-    /// seed-replicated grids (`replicate = 0..5`).
-    Replicate,
-    /// Walk randomness α (`execution.alpha`); requires a selector that
-    /// has an α (accuracy or cumulative).
-    Alpha,
-    /// Round budget (`execution.rounds`); rounds mode only.
-    Rounds,
-    /// Active clients per round (`execution.clients_per_round`); rounds
-    /// mode only.
-    ClientsPerRound,
-    /// Local epochs (`execution.local_epochs`).
-    LocalEpochs,
-    /// Local mini-batches per epoch (`execution.local_batches`).
-    LocalBatches,
-    /// Mini-batch size (`execution.batch_size`).
-    BatchSize,
-    /// SGD learning rate (`execution.learning_rate`).
-    LearningRate,
-    /// Foreign-cluster fraction (`dataset.relaxation`); fmnist only.
-    Relaxation,
-    /// Number of clients (`dataset.clients`); every dataset except
-    /// poets (which sizes by `clients_per_language`).
-    Clients,
-    /// Samples per client (`dataset.samples`); every dataset except
-    /// fedprox (which sizes by `min_samples`/`max_samples`).
-    Samples,
-    /// Poisoned-client fraction (`attack.fraction`); requires an attack.
-    PoisonFraction,
-    /// Total activations (`execution.activations`); async mode only.
-    Activations,
-    /// Mean activation gap (`execution.interarrival`); async mode only.
-    Interarrival,
-    /// Logical training duration (`execution.train_time`); async only.
-    TrainTime,
-    /// Base (fast-link) propagation delay (`execution.delay`); async
-    /// only. Sets the constant delay, the jitter base or the cohorts
-    /// fast-link delay, matching the `delay` key of scenario files.
-    Delay,
-}
-
-/// All sweepable fields, in listing order.
-const ALL_FIELDS: &[SweepField] = &[
-    SweepField::Seed,
-    SweepField::Replicate,
-    SweepField::Alpha,
-    SweepField::Rounds,
-    SweepField::ClientsPerRound,
-    SweepField::LocalEpochs,
-    SweepField::LocalBatches,
-    SweepField::BatchSize,
-    SweepField::LearningRate,
-    SweepField::Relaxation,
-    SweepField::Clients,
-    SweepField::Samples,
-    SweepField::PoisonFraction,
-    SweepField::Activations,
-    SweepField::Interarrival,
-    SweepField::TrainTime,
-    SweepField::Delay,
-];
-
-impl SweepField {
-    /// Resolves a field path or short alias (`alpha`, `lr`, ...).
-    pub fn parse(word: &str) -> Option<Self> {
-        ALL_FIELDS
-            .iter()
-            .copied()
-            .find(|f| f.path() == word || f.short() == word)
-            .or(match word {
-                "lr" => Some(SweepField::LearningRate),
-                "poison_fraction" => Some(SweepField::PoisonFraction),
-                _ => None,
-            })
-    }
-
-    /// The canonical dotted path (the `[axes]` key and CSV column name).
-    pub fn path(&self) -> &'static str {
-        match self {
-            SweepField::Seed => "seed",
-            SweepField::Replicate => "replicate",
-            SweepField::Alpha => "execution.alpha",
-            SweepField::Rounds => "execution.rounds",
-            SweepField::ClientsPerRound => "execution.clients_per_round",
-            SweepField::LocalEpochs => "execution.local_epochs",
-            SweepField::LocalBatches => "execution.local_batches",
-            SweepField::BatchSize => "execution.batch_size",
-            SweepField::LearningRate => "execution.learning_rate",
-            SweepField::Relaxation => "dataset.relaxation",
-            SweepField::Clients => "dataset.clients",
-            SweepField::Samples => "dataset.samples",
-            SweepField::PoisonFraction => "attack.fraction",
-            SweepField::Activations => "execution.activations",
-            SweepField::Interarrival => "execution.interarrival",
-            SweepField::TrainTime => "execution.train_time",
-            SweepField::Delay => "execution.delay",
-        }
-    }
-
-    /// The short name used in cell ids (`alpha=0.1,seed=42`).
-    pub fn short(&self) -> &'static str {
-        match self {
-            SweepField::Seed => "seed",
-            SweepField::Replicate => "replicate",
-            SweepField::Alpha => "alpha",
-            SweepField::Rounds => "rounds",
-            SweepField::ClientsPerRound => "clients_per_round",
-            SweepField::LocalEpochs => "epochs",
-            SweepField::LocalBatches => "batches",
-            SweepField::BatchSize => "batch_size",
-            SweepField::LearningRate => "learning_rate",
-            SweepField::Relaxation => "relaxation",
-            SweepField::Clients => "clients",
-            SweepField::Samples => "samples",
-            SweepField::PoisonFraction => "fraction",
-            SweepField::Activations => "activations",
-            SweepField::Interarrival => "interarrival",
-            SweepField::TrainTime => "train_time",
-            SweepField::Delay => "delay",
-        }
-    }
-
-    /// The scenario location two axes may not both target (`seed` and
-    /// `replicate` collide on the master seed).
-    fn target(&self) -> &'static str {
-        match self {
-            SweepField::Seed | SweepField::Replicate => "seed",
-            other => other.path(),
-        }
-    }
-
-    /// Whether values must be non-negative integers.
-    fn is_integer(&self) -> bool {
-        matches!(
-            self,
-            SweepField::Seed
-                | SweepField::Replicate
-                | SweepField::Rounds
-                | SweepField::ClientsPerRound
-                | SweepField::LocalEpochs
-                | SweepField::LocalBatches
-                | SweepField::BatchSize
-                | SweepField::Clients
-                | SweepField::Samples
-                | SweepField::Activations
-        )
-    }
-
-    /// Checks that the base scenario has this field at all.
-    fn check_applies(&self, base: &Scenario) -> Result<(), ScenarioError> {
-        let path = self.path();
-        let fail = |reason: String| {
-            Err(ScenarioError::Invalid(format!(
-                "sweep axis `{path}` does not apply: {reason}"
-            )))
-        };
-        match self {
-            SweepField::Alpha => {
-                if matches!(base.execution.dag().tip_selector, TipSelector::Random) {
-                    return fail("the base scenario's random tip selector has no alpha".into());
-                }
-            }
-            SweepField::Rounds | SweepField::ClientsPerRound => {
-                if matches!(base.execution, ExecutionSpec::Async { .. }) {
-                    return fail(format!(
-                        "`{path}` needs rounds mode, the base scenario is async"
-                    ));
-                }
-            }
-            SweepField::Activations
-            | SweepField::Interarrival
-            | SweepField::TrainTime
-            | SweepField::Delay => {
-                if matches!(base.execution, ExecutionSpec::Rounds(_)) {
-                    return fail(format!(
-                        "`{path}` needs async mode, the base scenario uses rounds"
-                    ));
-                }
-            }
-            SweepField::Relaxation if !matches!(base.dataset, DatasetSpec::Fmnist { .. }) => {
-                return fail(format!(
-                    "only the fmnist dataset has a relaxation, the base uses `{}`",
-                    base.dataset.kind()
-                ));
-            }
-            SweepField::Clients => {
-                if matches!(base.dataset, DatasetSpec::Poets { .. }) {
-                    return fail("the poets dataset sizes by clients_per_language".into());
-                }
-            }
-            SweepField::Samples => {
-                if matches!(base.dataset, DatasetSpec::FedProx { .. }) {
-                    return fail("the fedprox dataset sizes by min_samples/max_samples".into());
-                }
-            }
-            SweepField::PoisonFraction if base.attack.is_none() => {
-                return fail("the base scenario has no [attack] section".into());
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Parses one raw token into this field's type (error-checking only).
-    fn check_token(&self, token: &str) -> Result<(), ScenarioError> {
-        let ok = if self.is_integer() {
-            token.parse::<u64>().is_ok()
-        } else {
-            token.parse::<f64>().map(f64::is_finite).unwrap_or(false)
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(ScenarioError::InvalidValue {
-                key: format!("axes.{}", self.path()),
-                value: token.to_string(),
-                expected: if self.is_integer() {
-                    "a non-negative integer".into()
-                } else {
-                    "a finite number".into()
-                },
-            })
-        }
-    }
-
-    /// Writes one value into a cell scenario. The token was checked by
-    /// [`SweepField::check_token`] and the base by
-    /// [`SweepField::check_applies`].
-    fn apply(&self, scenario: &mut Scenario, token: &str) -> Result<(), ScenarioError> {
-        self.check_token(token)?;
-        let int = || token.parse::<u64>().expect("checked integer token");
-        let float = || token.parse::<f64>().expect("checked float token");
-        match self {
-            SweepField::Seed => {
-                let seed = int();
-                scenario.dataset.set_seed(seed);
-                scenario.execution.dag_mut().seed = seed;
-            }
-            SweepField::Replicate => {
-                let seed = derive_seed(scenario.execution.dag().seed, int());
-                scenario.dataset.set_seed(seed);
-                scenario.execution.dag_mut().seed = seed;
-            }
-            SweepField::Alpha => match &mut scenario.execution.dag_mut().tip_selector {
-                TipSelector::Accuracy { alpha, .. } | TipSelector::CumulativeWeight { alpha } => {
-                    *alpha = float() as f32;
-                }
-                TipSelector::Random => unreachable!("checked by check_applies"),
-            },
-            SweepField::Rounds => {
-                if let ExecutionSpec::Rounds(dag) = &mut scenario.execution {
-                    dag.rounds = int() as usize;
-                }
-            }
-            SweepField::ClientsPerRound => {
-                scenario.execution.dag_mut().clients_per_round = int() as usize;
-            }
-            SweepField::LocalEpochs => scenario.execution.dag_mut().local_epochs = int() as usize,
-            SweepField::LocalBatches => scenario.execution.dag_mut().local_batches = int() as usize,
-            SweepField::BatchSize => scenario.execution.dag_mut().batch_size = int() as usize,
-            SweepField::LearningRate => {
-                scenario.execution.dag_mut().learning_rate = float() as f32;
-            }
-            SweepField::Relaxation => {
-                if let DatasetSpec::Fmnist { relaxation, .. } = &mut scenario.dataset {
-                    *relaxation = float() as f32;
-                }
-            }
-            SweepField::Clients => match &mut scenario.dataset {
-                DatasetSpec::Fmnist { clients, .. }
-                | DatasetSpec::FmnistStreamed { clients, .. }
-                | DatasetSpec::FmnistAuthor { clients, .. }
-                | DatasetSpec::Cifar { clients, .. }
-                | DatasetSpec::FedProx { clients, .. } => *clients = int() as usize,
-                DatasetSpec::Poets { .. } => unreachable!("checked by check_applies"),
-            },
-            SweepField::Samples => match &mut scenario.dataset {
-                DatasetSpec::Fmnist { samples, .. }
-                | DatasetSpec::FmnistStreamed { samples, .. }
-                | DatasetSpec::FmnistAuthor { samples, .. }
-                | DatasetSpec::Poets { samples, .. }
-                | DatasetSpec::Cifar { samples, .. } => *samples = int() as usize,
-                DatasetSpec::FedProx { .. } => unreachable!("checked by check_applies"),
-            },
-            SweepField::PoisonFraction => {
-                if let Some(attack) = &mut scenario.attack {
-                    attack.fraction = float();
-                }
-            }
-            SweepField::Activations => {
-                if let ExecutionSpec::Async { config, .. } = &mut scenario.execution {
-                    config.total_activations = int() as usize;
-                }
-            }
-            SweepField::Interarrival => {
-                if let ExecutionSpec::Async { config, .. } = &mut scenario.execution {
-                    config.mean_interarrival = float();
-                }
-            }
-            SweepField::TrainTime => {
-                if let ExecutionSpec::Async { config, .. } = &mut scenario.execution {
-                    config.train_time = float();
-                }
-            }
-            SweepField::Delay => {
-                if let ExecutionSpec::Async { config, .. } = &mut scenario.execution {
-                    match &mut config.delay {
-                        DelayModel::Constant { delay } => *delay = float(),
-                        DelayModel::UniformJitter { base, .. } => *base = float(),
-                        DelayModel::Cohorts { fast, .. } => *fast = float(),
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The spec
 // ---------------------------------------------------------------------------
 
-/// One sweep axis: a field path (raw, resolved at validation) plus the
-/// raw value tokens it takes, in sweep order.
+/// One sweep axis: a field (as authored, resolved at expansion) plus
+/// the raw value tokens it takes, in sweep order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepAxis {
-    /// The field path as authored (canonical path or short alias).
+    /// A scenario key path (`execution.alpha`), a bare key (`alpha`),
+    /// or one of the seed names `seed` and `replicate`.
     pub field: String,
     /// The values, as raw number tokens (`"0.1"`, `"42"`). Raw tokens
     /// keep cell ids and CSV columns byte-stable.
@@ -500,8 +177,9 @@ impl SweepSpec {
         }
     }
 
-    /// Adds an axis (builder style). `field` is a [`SweepField`] path or
-    /// alias; unknown fields surface in [`SweepSpec::validate`].
+    /// Adds an axis (builder style). `field` is a key path, a bare key,
+    /// `seed` or `replicate`; unknown fields surface in
+    /// [`SweepSpec::validate`].
     pub fn axis<I, S>(mut self, field: impl Into<String>, values: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -538,39 +216,41 @@ impl SweepSpec {
         self
     }
 
-    /// Resolves the raw axis fields, rejecting unknown paths, empty
-    /// value lists and duplicate/conflicting axes.
-    fn resolved_axes(&self) -> Result<Vec<(SweepField, &SweepAxis)>, ScenarioError> {
+    /// The full path of every axis field against the base scenario
+    /// (`seed` and `replicate` stand as written), rejecting unknown
+    /// bare keys, empty value lists and axes that target the same field.
+    fn axis_paths(&self, base: &Scenario) -> Result<Vec<String>, ScenarioError> {
         if self.axes.is_empty() {
             return Err(ScenarioError::Invalid(
                 "a sweep needs at least one axis (a zero-axis sweep is `dagfl run`)".into(),
             ));
         }
-        let mut resolved: Vec<(SweepField, &SweepAxis)> = Vec::with_capacity(self.axes.len());
-        for axis in &self.axes {
-            let field =
-                SweepField::parse(&axis.field).ok_or_else(|| ScenarioError::UnknownKey {
-                    key: format!("axes.{}", axis.field),
-                })?;
+        let mut paths: Vec<String> = Vec::with_capacity(self.axes.len());
+        for (pos, axis) in self.axes.iter().enumerate() {
+            let path = if is_seed_name(&axis.field) {
+                axis.field.clone()
+            } else {
+                base.key_path(&axis.field).map_err(|e| match e {
+                    ScenarioError::UnknownKey { key } => ScenarioError::UnknownKey {
+                        key: format!("axes.{key}"),
+                    },
+                    other => other,
+                })?
+            };
             if axis.values.is_empty() {
                 return Err(ScenarioError::Invalid(format!(
-                    "sweep axis `{}` has no values",
-                    field.path()
+                    "sweep axis `{path}` has no values"
                 )));
             }
-            if let Some((prev, prev_axis)) =
-                resolved.iter().find(|(f, _)| f.target() == field.target())
-            {
+            if let Some(prev) = paths.iter().position(|p| same_target(p, &path)) {
                 return Err(ScenarioError::Invalid(format!(
                     "duplicate sweep axis for `{}`: `{}` and `{}` target the same field",
-                    prev.path(),
-                    prev_axis.field,
-                    axis.field
+                    paths[prev], self.axes[prev].field, self.axes[pos].field
                 )));
             }
-            resolved.push((field, axis));
+            paths.push(path);
         }
-        Ok(resolved)
+        Ok(paths)
     }
 
     /// Resolves the base scenario at the given scale.
@@ -598,9 +278,10 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Returns the first inconsistency: unknown/duplicate/inapplicable
-    /// axes, malformed values, an exceeded [`SweepSpec::max_cells`] cap,
-    /// or a cell whose scenario fails [`Scenario::validate`].
+    /// Returns the first inconsistency: unknown/duplicate axes,
+    /// malformed seed values, an exceeded [`SweepSpec::max_cells`] cap,
+    /// or a cell whose overrides [`Scenario::with_overrides`] rejects or
+    /// whose scenario fails [`Scenario::validate`].
     pub fn expand_at(&self, scale: Scale) -> Result<Vec<SweepCell>, ScenarioError> {
         if self.name.trim().is_empty() || self.name.contains('\n') {
             return Err(ScenarioError::Invalid(
@@ -610,15 +291,9 @@ impl SweepSpec {
         let base = self.resolve_base(scale)?;
         base.validate()
             .map_err(|e| ScenarioError::Invalid(format!("sweep base scenario is invalid: {e}")))?;
-        let axes = self.resolved_axes()?;
-        for (field, axis) in &axes {
-            field.check_applies(&base)?;
-            for token in &axis.values {
-                field.check_token(token)?;
-            }
-        }
+        let paths = self.axis_paths(&base)?;
         let mut total: usize = 1;
-        for (_, axis) in &axes {
+        for axis in &self.axes {
             total = total.checked_mul(axis.values.len()).ok_or_else(|| {
                 ScenarioError::Invalid("sweep expansion overflows the cell counter".into())
             })?;
@@ -633,30 +308,51 @@ impl SweepSpec {
         let mut cells = Vec::with_capacity(total);
         for index in 0..total {
             // Mixed-radix odometer, last axis fastest.
-            let mut digits = vec![0usize; axes.len()];
+            let mut digits = vec![0usize; self.axes.len()];
             let mut rem = index;
-            for pos in (0..axes.len()).rev() {
-                let len = axes[pos].1.values.len();
+            for pos in (0..self.axes.len()).rev() {
+                let len = self.axes[pos].values.len();
                 digits[pos] = rem % len;
                 rem /= len;
             }
-            let mut scenario = base.clone();
-            let mut values = Vec::with_capacity(axes.len());
-            let mut id_parts = Vec::with_capacity(axes.len());
-            for (pos, (field, axis)) in axes.iter().enumerate() {
-                let token = &axis.values[digits[pos]];
-                field.apply(&mut scenario, token)?;
-                values.push((field.path().to_string(), token.clone()));
-                id_parts.push(format!("{}={}", field.short(), token));
+            let mut overrides = Vec::with_capacity(self.axes.len());
+            let mut master_seed = None;
+            let mut values = Vec::with_capacity(self.axes.len());
+            let mut id_parts = Vec::with_capacity(self.axes.len());
+            for (pos, path) in paths.iter().enumerate() {
+                let token = &self.axes[pos].values[digits[pos]];
+                if is_seed_name(path) {
+                    let seed = token.parse().map_err(|_| ScenarioError::InvalidValue {
+                        key: format!("axes.{path}"),
+                        value: token.clone(),
+                        expected: "a non-negative integer".into(),
+                    })?;
+                    master_seed = Some((path.as_str(), seed));
+                } else {
+                    overrides.push((path.as_str(), token.as_str()));
+                }
+                values.push((path.clone(), token.clone()));
+                let short = path.rsplit('.').next().unwrap_or(path);
+                id_parts.push(format!("{short}={token}"));
             }
             let id = id_parts.join(",");
+            let invalid = |e: ScenarioError| {
+                ScenarioError::Invalid(format!("sweep cell `{id}` is invalid: {e}"))
+            };
+            let mut scenario = base.with_overrides(overrides).map_err(invalid)?;
+            scenario = match master_seed {
+                Some(("replicate", k)) => {
+                    let seed = derive_seed(scenario.execution.dag().seed, k);
+                    scenario.with_seed(seed)
+                }
+                Some((_, seed)) => scenario.with_seed(seed),
+                None => scenario,
+            };
             scenario.name = format!("{}/{}", self.name, id);
             if self.cell_csv {
                 scenario.output.csv = Some(format!("{}-{index:03}", self.name));
             }
-            scenario.validate().map_err(|e| {
-                ScenarioError::Invalid(format!("sweep cell `{id}` is invalid: {e}"))
-            })?;
+            scenario.validate().map_err(invalid)?;
             cells.push(SweepCell {
                 index,
                 id,
@@ -706,14 +402,7 @@ impl SweepSpec {
         if let SweepBase::Inline(scenario) = &self.base {
             let base_doc =
                 Document::parse(&scenario.to_toml()).expect("scenario TOML always reparses");
-            for section in [
-                "dataset",
-                "model",
-                "execution",
-                "attack",
-                "analysis",
-                "output",
-            ] {
+            for section in SCENARIO_SECTIONS {
                 if let Some(table) = base_doc.section(section) {
                     *doc.section_mut(section) = table.clone();
                 }
@@ -744,17 +433,7 @@ impl SweepSpec {
             message: e.message,
         })?;
         for section in doc.section_names() {
-            if !matches!(
-                section,
-                "sweep"
-                    | "axes"
-                    | "dataset"
-                    | "model"
-                    | "execution"
-                    | "attack"
-                    | "analysis"
-                    | "output"
-            ) {
+            if !matches!(section, "sweep" | "axes") && !SCENARIO_SECTIONS.contains(&section) {
                 return Err(ScenarioError::UnknownKey {
                     key: format!("[{section}]"),
                 });
@@ -774,16 +453,7 @@ impl SweepSpec {
         let comparison_csv = reader.str("comparison_csv")?;
         let cell_csv = reader.bool_or("cell_csv", false)?;
         reader.finish()?;
-        let has_scenario_sections = [
-            "dataset",
-            "model",
-            "execution",
-            "attack",
-            "analysis",
-            "output",
-        ]
-        .iter()
-        .any(|s| doc.section(s).is_some());
+        let has_scenario_sections = SCENARIO_SECTIONS.iter().any(|s| doc.section(s).is_some());
         let base = match (preset, file, inline_name) {
             (Some(preset), None, None) => {
                 if has_scenario_sections {
@@ -806,14 +476,7 @@ impl SweepSpec {
             (None, None, Some(scenario_name)) => {
                 let mut base_doc = Document::default();
                 base_doc.root.set("name", Value::Str(scenario_name));
-                for section in [
-                    "dataset",
-                    "model",
-                    "execution",
-                    "attack",
-                    "analysis",
-                    "output",
-                ] {
+                for section in SCENARIO_SECTIONS {
                     if let Some(table) = doc.section(section) {
                         *base_doc.section_mut(section) = table.clone();
                     }
@@ -841,16 +504,11 @@ impl SweepSpec {
                     end.parse::<u64>().expect("parser checked"),
                 )?,
                 other => {
-                    return Err(ScenarioError::InvalidValue {
-                        key: format!("axes.{key}"),
-                        value: match other {
-                            Value::Str(s) => s.clone(),
-                            Value::Number(n) => n.clone(),
-                            Value::Bool(b) => b.to_string(),
-                            _ => unreachable!("list and range handled above"),
-                        },
-                        expected: "an array of numbers or an integer range".into(),
-                    })
+                    return Err(Reader::new("axes", None).invalid(
+                        key,
+                        other,
+                        "an array of numbers or an integer range",
+                    ))
                 }
             };
             axes.push(SweepAxis {
@@ -920,7 +578,8 @@ pub struct SweepCell {
     pub index: usize,
     /// Human-readable coordinates (`alpha=0.1,seed=42`).
     pub id: String,
-    /// `(canonical field path, raw value token)` pairs, in axis order.
+    /// `(full key path or seed name, raw value token)` pairs, in axis
+    /// order.
     pub values: Vec<(String, String)>,
     /// The cell's scenario (base plus this cell's axis values).
     pub scenario: Scenario,
@@ -933,7 +592,8 @@ pub struct SweepCellReport {
     pub index: usize,
     /// Human-readable coordinates (`alpha=0.1,seed=42`).
     pub id: String,
-    /// `(canonical field path, raw value token)` pairs, in axis order.
+    /// `(full key path or seed name, raw value token)` pairs, in axis
+    /// order.
     pub values: Vec<(String, String)>,
     /// The cell's full run report.
     pub report: RunReport,
@@ -945,7 +605,7 @@ pub struct SweepCellReport {
 pub struct SweepReport {
     /// The sweep name.
     pub name: String,
-    /// Canonical axis field paths, in sweep order.
+    /// Axis columns (full key paths or seed names), in sweep order.
     pub axes: Vec<String>,
     /// Per-cell reports, in expansion order (independent of scheduling).
     pub cells: Vec<SweepCellReport>,
@@ -1240,12 +900,10 @@ impl SweepRunner {
                 report,
             });
         }
-        let axes = self
-            .spec
-            .resolved_axes()
-            .expect("spec validated at construction")
+        let axes = cells[0]
+            .values
             .iter()
-            .map(|(field, _)| field.path().to_string())
+            .map(|(path, _)| path.clone())
             .collect();
         let mut report = SweepReport {
             name: self.spec.name.clone(),
@@ -1258,6 +916,19 @@ impl SweepRunner {
         }
         Ok(report)
     }
+}
+
+/// Whether an axis field is one of the two seed names rather than a key
+/// path.
+fn is_seed_name(field: &str) -> bool {
+    matches!(field, "seed" | "replicate")
+}
+
+/// Whether two axis paths write the same scenario field: equal paths, or
+/// a seed name next to a seed name or a `*.seed` key.
+fn same_target(a: &str, b: &str) -> bool {
+    let seed_key = |p: &str| is_seed_name(p) || p.ends_with(".seed");
+    a == b || (is_seed_name(a) && seed_key(b)) || (seed_key(a) && is_seed_name(b))
 }
 
 /// Whether TOML text is a sweep spec (it holds a real `[sweep]`
@@ -1358,7 +1029,8 @@ impl SweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::DatasetSpec;
+    use crate::spec::{DatasetSpec, ExecutionSpec};
+    use dagfl_core::{DelayModel, TipSelector};
 
     fn smoke_scenario() -> Scenario {
         Scenario::preset_at("smoke", Scale::Quick).unwrap()
@@ -1454,7 +1126,7 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(err.to_string().contains("execution.delay"), "{err}");
-        assert!(err.to_string().contains("async"), "{err}");
+        assert!(err.to_string().contains("does not apply"), "{err}");
         // Rounds field on an async base.
         let err = SweepSpec::over_preset("bad", "async-delay2")
             .axis("execution.rounds", ["5"])
@@ -1470,11 +1142,21 @@ mod tests {
         // Alpha on a random selector.
         let mut random = smoke_scenario();
         random.execution.dag_mut().tip_selector = TipSelector::Random;
+        let err = SweepSpec::over_scenario("bad", random.clone())
+            .axis("execution.alpha", ["1"])
+            .validate()
+            .unwrap_err();
+        assert!(err.to_string().contains("execution.alpha"), "{err}");
+        // A random base holds no `alpha` key, so the bare key resolves
+        // nowhere.
         let err = SweepSpec::over_scenario("bad", random)
             .axis("alpha", ["1"])
             .validate()
             .unwrap_err();
-        assert!(err.to_string().contains("execution.alpha"), "{err}");
+        assert!(
+            matches!(err, ScenarioError::UnknownKey { ref key } if key == "axes.alpha"),
+            "{err}"
+        );
         // Relaxation on a non-fmnist dataset.
         let mut author = smoke_scenario();
         author.dataset = DatasetSpec::FmnistAuthor {
@@ -1535,6 +1217,12 @@ mod tests {
                 .with_comparison_csv("cmp")
                 .with_cell_csv(true),
             SweepSpec::over_file("over-file", "scenarios/smoke.toml").axis("alpha", ["1"]),
+            // An inline base keeps its [faults] section.
+            SweepSpec::over_scenario(
+                "inline-faults",
+                Scenario::preset_at("chaos-smoke", Scale::Quick).unwrap(),
+            )
+            .axis("seed", ["1"]),
         ];
         for spec in cases {
             let text = spec.to_toml();

@@ -74,6 +74,11 @@ impl Table {
         }
     }
 
+    /// Removes a key, if present.
+    pub fn remove(&mut self, key: &str) {
+        self.entries.retain(|(k, _)| k != key);
+    }
+
     /// Iterates over the entries in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
@@ -266,6 +271,25 @@ fn parse_value(token: &str, line: usize) -> Result<Value, TextError> {
     Ok(Value::Number(number_token(token, line)?))
 }
 
+/// Parses one override value (`dagfl run --set key=value`, a sweep
+/// axis token) with the file grammar, except that a bare word which is
+/// neither a number nor a boolean reads as a string, so
+/// `selector=random` needs no quotes.
+pub(crate) fn parse_override(token: &str) -> Result<Value, TextError> {
+    let token = token.trim();
+    parse_value(token, 1).or_else(|err| {
+        let bare_word = !token.is_empty()
+            && !token.contains(['"', '[', ']'])
+            && !token.contains("..")
+            && !token.contains(char::is_whitespace);
+        if bare_word {
+            Ok(Value::Str(token.to_string()))
+        } else {
+            Err(err)
+        }
+    })
+}
+
 fn number_token(token: &str, line: usize) -> Result<String, TextError> {
     if token.parse::<f64>().map(f64::is_finite) == Ok(true) {
         Ok(token.to_string())
@@ -446,6 +470,26 @@ mod tests {
                 "{input:?}: {}",
                 err.message
             );
+        }
+    }
+
+    #[test]
+    fn override_values_read_bare_words_as_strings() {
+        for (token, value) in [
+            ("0.1", Value::Number("0.1".into())),
+            ("-3", Value::Number("-3".into())),
+            ("true", Value::Bool(true)),
+            ("\"quoted\"", Value::Str("quoted".into())),
+            ("random", Value::Str("random".into())),
+            ("127.0.0.1:7878", Value::Str("127.0.0.1:7878".into())),
+            ("nan", Value::Str("nan".into())),
+            ("[16, 8]", Value::NumberList(vec!["16".into(), "8".into()])),
+            ("0..3", Value::Range("0".into(), "3".into())),
+        ] {
+            assert_eq!(parse_override(token).unwrap(), value, "{token}");
+        }
+        for token in ["", "[1, x]", "\"open", "1.5..3", "two words"] {
+            assert!(parse_override(token).is_err(), "{token:?}");
         }
     }
 

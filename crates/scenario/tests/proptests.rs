@@ -1,12 +1,13 @@
-//! Property test: any well-formed scenario survives the file round-trip
-//! (`Scenario` → TOML text → `Scenario`) bit-for-bit.
+//! Property tests: any well-formed scenario survives the file round-trip
+//! (`Scenario` → TOML text → `Scenario`) bit-for-bit, and key-path
+//! overrides never panic, whatever the path and value.
 
 use proptest::prelude::*;
 
 use dagfl_core::{
     AsyncConfig, ComputeProfile, DagConfig, DelayModel, Normalization, StaleTipPolicy, TipSelector,
 };
-use dagfl_scenario::{AttackSpec, DatasetSpec, ExecutionSpec, Scenario};
+use dagfl_scenario::{AttackSpec, DatasetSpec, ExecutionSpec, Scale, Scenario};
 
 #[allow(clippy::too_many_arguments)]
 fn build_scenario(
@@ -113,8 +114,8 @@ fn build_scenario(
             },
             _ => ComputeProfile::MatchNetworkCohort { slowdown: 2.5 },
         };
-        ExecutionSpec::Async {
-            config: AsyncConfig {
+        ExecutionSpec::asynchronous(
+            AsyncConfig {
                 dag,
                 total_activations: rounds * cpr.max(1),
                 mean_interarrival: delay.max(0.1),
@@ -125,8 +126,8 @@ fn build_scenario(
                 gossip_fanout: 0,
                 workers: usize::from(policy_kind) + 1,
             },
-            transport: Default::default(),
-        }
+            Default::default(),
+        )
     };
     let mut scenario = Scenario::new("generated", dataset).with_execution(execution);
     if rounds_mode && attack_on {
@@ -168,5 +169,105 @@ proptest! {
         // Serialization is a pure function of the value: a second lap
         // produces byte-identical text.
         prop_assert_eq!(reparsed.to_toml(), text);
+    }
+}
+
+/// Override bases: every execution mode, delay model, dataset family and
+/// optional section the presets cover.
+const OVERRIDE_BASES: [&str; 6] = [
+    "smoke",
+    "async-cohorts",
+    "poisoning-p0.2",
+    "table1-poets",
+    "chaos-smoke",
+    "analysis-smoke",
+];
+
+/// Sections, real and not.
+const SECTIONS: [&str; 9] = [
+    "dataset",
+    "model",
+    "execution",
+    "attack",
+    "faults",
+    "analysis",
+    "output",
+    "sweep",
+    "",
+];
+
+/// Keys: real ones from every section, plus near misses.
+const KEYS: [&str; 18] = [
+    "alpha",
+    "rounds",
+    "selector",
+    "normalization",
+    "delay_model",
+    "jitter",
+    "kind",
+    "mode",
+    "seed",
+    "clients",
+    "fraction",
+    "hidden",
+    "workers",
+    "tracker",
+    "name",
+    "",
+    ".",
+    "a.b",
+];
+
+/// Value fragments: every shape of the value grammar and its failures.
+const VALUE_PARTS: [&str; 24] = [
+    "0",
+    "1",
+    "-1",
+    "0.1",
+    "1e9",
+    "nan",
+    "inf",
+    "random",
+    "cumulative",
+    "async",
+    "rounds",
+    "tcp",
+    "\"x\"",
+    "[1, 2]",
+    "[]",
+    "0..3",
+    "true",
+    "\"",
+    "[",
+    "..",
+    " ",
+    "é",
+    ".",
+    "=",
+];
+
+proptest! {
+    #[test]
+    fn overrides_never_panic_and_accepted_results_round_trip(
+        (base, section, key, dotted) in (
+            0usize..OVERRIDE_BASES.len(),
+            0usize..SECTIONS.len(),
+            0usize..KEYS.len(),
+            any::<bool>(),
+        ),
+        value_picks in proptest::collection::vec(0usize..VALUE_PARTS.len(), 0..3),
+    ) {
+        let scenario = Scenario::preset_at(OVERRIDE_BASES[base], Scale::Quick).unwrap();
+        let path = if dotted {
+            format!("{}.{}", SECTIONS[section], KEYS[key])
+        } else {
+            KEYS[key].to_string()
+        };
+        let value: String = value_picks.iter().map(|&i| VALUE_PARTS[i]).collect();
+        if let Ok(changed) = scenario.with_override(&path, &value) {
+            prop_assert!(changed.validate().is_ok(), "{} = {}", path, value);
+            let reparsed = Scenario::from_toml(&changed.to_toml()).unwrap();
+            prop_assert_eq!(reparsed, changed, "{} = {}", path, value);
+        }
     }
 }
