@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+use dagfl_core::DagConfig;
 use dagfl_datasets::FederatedDataset;
 use dagfl_nn::{weighted_average_parameters, Evaluation, Model, NnError, SgdConfig};
 
@@ -62,6 +63,24 @@ impl Default for FedConfig {
 }
 
 impl FedConfig {
+    /// The centralized counterpart of a Specializing-DAG configuration:
+    /// the same Table 1 budget (rounds, clients per round, local epochs,
+    /// batches, batch size, learning rate) and seed, as plain FedAvg
+    /// without stragglers. Every baseline run compared against a DAG
+    /// run is built through this one conversion.
+    pub fn from_dag(dag: &DagConfig) -> Self {
+        Self {
+            rounds: dag.rounds,
+            clients_per_round: dag.clients_per_round,
+            local_epochs: dag.local_epochs,
+            local_batches: dag.local_batches,
+            batch_size: dag.batch_size,
+            learning_rate: dag.learning_rate,
+            seed: dag.seed,
+            ..Self::default()
+        }
+    }
+
     /// Turns this configuration into FedProx with the given μ.
     pub fn with_proximal_mu(mut self, mu: f32) -> Self {
         self.proximal_mu = mu;
@@ -327,6 +346,37 @@ mod tests {
             samples_per_client: 60,
             ..FmnistConfig::default()
         })
+    }
+
+    #[test]
+    fn from_dag_copies_the_shared_budget_and_seed() {
+        let dag = DagConfig {
+            rounds: 7,
+            clients_per_round: 3,
+            local_epochs: 2,
+            local_batches: 4,
+            batch_size: 5,
+            learning_rate: 0.3,
+            seed: 9,
+            ..DagConfig::default()
+        };
+        let config = FedConfig::from_dag(&dag);
+        assert_eq!(
+            (
+                config.rounds,
+                config.clients_per_round,
+                config.local_epochs,
+                config.local_batches,
+                config.batch_size,
+                config.seed
+            ),
+            (7, 3, 2, 4, 5, 9)
+        );
+        assert_eq!(config.learning_rate, 0.3);
+        // Plain FedAvg without stragglers: the rest stays at the defaults.
+        assert_eq!(config.proximal_mu, 0.0);
+        assert_eq!(config.straggler_fraction, 0.0);
+        assert!(config.weighted_aggregation);
     }
 
     #[test]

@@ -5,9 +5,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dagfl_bench::fmnist_model_factory;
 use dagfl_core::{perturbed_model_tangle, AccuracyBias, ModelEvaluator, Normalization};
 use dagfl_datasets::{fmnist_clustered, FmnistConfig};
+use dagfl_scenario::ModelSpec;
 use dagfl_tangle::RandomWalker;
 
 fn bench_accuracy_walk(c: &mut Criterion) {
@@ -17,7 +17,7 @@ fn bench_accuracy_walk(c: &mut Criterion) {
         ..FmnistConfig::default()
     });
     let client = &dataset.clients()[0];
-    let factory = fmnist_model_factory(dataset.feature_len(), 10);
+    let factory = ModelSpec::Mlp { hidden: vec![64] }.build_factory(dataset.feature_len(), 10);
     let mut rng = StdRng::seed_from_u64(0);
     let model = factory(&mut rng);
     let params = model.parameters();

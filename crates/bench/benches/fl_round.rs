@@ -4,9 +4,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use dagfl_baselines::{FedConfig, FederatedServer};
-use dagfl_bench::fmnist_model_factory;
 use dagfl_core::{DagConfig, Simulation};
 use dagfl_datasets::{fmnist_clustered, FederatedDataset, FmnistConfig};
+use dagfl_scenario::ModelSpec;
 
 fn dataset() -> FederatedDataset {
     fmnist_clustered(&FmnistConfig {
@@ -32,7 +32,7 @@ fn bench_dag_round(c: &mut Criterion) {
                 ..DagConfig::default()
             },
             ds.clone(),
-            fmnist_model_factory(features, 10),
+            ModelSpec::Mlp { hidden: vec![64] }.build_factory(features, 10),
         );
         b.iter(|| sim.run_round().expect("round"));
     });
@@ -45,7 +45,7 @@ fn bench_dag_round(c: &mut Criterion) {
                 ..FedConfig::default()
             },
             ds.clone(),
-            fmnist_model_factory(features, 10),
+            ModelSpec::Mlp { hidden: vec![64] }.build_factory(features, 10),
         );
         b.iter(|| server.run_round().expect("round"));
     });
@@ -59,7 +59,7 @@ fn bench_dag_round(c: &mut Criterion) {
                 ..FedConfig::default()
             },
             ds.clone(),
-            fmnist_model_factory(features, 10),
+            ModelSpec::Mlp { hidden: vec![64] }.build_factory(features, 10),
         );
         b.iter(|| server.run_round().expect("round"));
     });

@@ -13,12 +13,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dagfl_bench::{fmnist_model_factory, poets_model_factory};
+use dagfl_datasets::POETS_VOCAB;
 use dagfl_nn::{average_parameters, MatmulBackendKind, SgdConfig};
+use dagfl_scenario::ModelSpec;
 use dagfl_tensor::Matrix;
 
 fn bench_train_batch(c: &mut Criterion) {
-    let factory = fmnist_model_factory(196, 10);
+    let factory = ModelSpec::Mlp { hidden: vec![64] }.build_factory(196, 10);
     let mut rng = StdRng::seed_from_u64(0);
     let mut model = factory(&mut rng);
     let x = Matrix::from_fn(10, 196, |r, c| ((r * 196 + c) % 11) as f32 * 0.1);
@@ -32,7 +33,7 @@ fn bench_train_batch(c: &mut Criterion) {
 fn bench_train_backends(c: &mut Criterion) {
     // The paper-scale training shape: a 32-row mini-batch through the
     // 196 -> 64 -> 10 MLP, full forward + backward + SGD update.
-    let factory = fmnist_model_factory(196, 10);
+    let factory = ModelSpec::Mlp { hidden: vec![64] }.build_factory(196, 10);
     let x = Matrix::from_fn(32, 196, |r, c| ((r * 196 + c) % 11) as f32 * 0.1);
     let y: Vec<usize> = (0..32).map(|i| i % 10).collect();
     let opt = SgdConfig::new(0.05);
@@ -84,7 +85,7 @@ fn bench_train_backends(c: &mut Criterion) {
 }
 
 fn bench_evaluate(c: &mut Criterion) {
-    let factory = fmnist_model_factory(196, 10);
+    let factory = ModelSpec::Mlp { hidden: vec![64] }.build_factory(196, 10);
     let mut rng = StdRng::seed_from_u64(0);
     let model = factory(&mut rng);
     let x = Matrix::from_fn(50, 196, |r, c| ((r * 196 + c) % 11) as f32 * 0.1);
@@ -95,7 +96,11 @@ fn bench_evaluate(c: &mut Criterion) {
 }
 
 fn bench_char_rnn_train(c: &mut Criterion) {
-    let factory = poets_model_factory();
+    let factory = ModelSpec::CharRnn {
+        embed: 8,
+        hidden: 32,
+    }
+    .build_factory(0, POETS_VOCAB.len());
     let mut rng = StdRng::seed_from_u64(0);
     let mut model = factory(&mut rng);
     let x = Matrix::from_fn(10, 12, |r, t| ((r + t) % 32) as f32);
@@ -107,7 +112,7 @@ fn bench_char_rnn_train(c: &mut Criterion) {
 }
 
 fn bench_average_parameters(c: &mut Criterion) {
-    let factory = fmnist_model_factory(196, 10);
+    let factory = ModelSpec::Mlp { hidden: vec![64] }.build_factory(196, 10);
     let mut rng = StdRng::seed_from_u64(0);
     let a = factory(&mut rng).parameters();
     let b_params = factory(&mut rng).parameters();

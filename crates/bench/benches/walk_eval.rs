@@ -25,12 +25,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dagfl_bench::fmnist_model_factory;
 use dagfl_core::{
     perturbed_model_tangle, AccuracyBias, ModelEvaluator, ModelPayload, Normalization,
 };
 use dagfl_datasets::{fmnist_clustered, ClientDataset, FmnistConfig};
 use dagfl_nn::Model;
+use dagfl_scenario::ModelSpec;
 use dagfl_tangle::{RandomWalker, Tangle, TxId, WalkBias};
 use dagfl_tensor::Matrix;
 
@@ -131,7 +131,7 @@ fn bench_walk_eval(c: &mut Criterion) {
         ..FmnistConfig::default()
     });
     let client = &dataset.clients()[0];
-    let factory = fmnist_model_factory(dataset.feature_len(), 10);
+    let factory = ModelSpec::Mlp { hidden: vec![64] }.build_factory(dataset.feature_len(), 10);
     let mut rng = StdRng::seed_from_u64(0);
     let mut legacy_model = factory(&mut rng);
     let params = legacy_model.parameters();

@@ -8,15 +8,14 @@
 //! Each arm runs the FMNIST-clustered workload and reports final mean
 //! accuracy, approval pureness and publication counts.
 
-use dagfl_bench::experiments::{fmnist_dataset, fmnist_spec};
 use dagfl_bench::output::{emit, f, f32c, int};
-use dagfl_bench::{fmnist_model_factory, Scale};
 use dagfl_core::{DagConfig, PublishGate, Simulation, TipSelector};
+use dagfl_scenario::Scenario;
 
-fn run(config: DagConfig, scale: Scale) -> (f32, f64, usize, usize) {
-    let dataset = fmnist_dataset(scale, 0.0, 42);
-    let features = dataset.feature_len();
-    let mut sim = Simulation::new(config, dataset, fmnist_model_factory(features, 10));
+fn run(config: DagConfig, scenario: &Scenario) -> (f32, f64, usize, usize) {
+    let dataset = scenario.dataset.build();
+    let factory = scenario.build_factory(&dataset);
+    let mut sim = Simulation::new(config, dataset, factory);
     sim.run().expect("simulation failed");
     let late: f32 = sim
         .history()
@@ -31,11 +30,11 @@ fn run(config: DagConfig, scale: Scale) -> (f32, f64, usize, usize) {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let base = fmnist_spec(scale).dag_config();
+    let scenario = Scenario::preset("table1-fmnist").expect("preset exists");
+    let base = *scenario.execution.dag();
     let mut rows = Vec::new();
     let mut record = |name: &str, config: DagConfig| {
-        let (acc, pureness, published, txs) = run(config, scale);
+        let (acc, pureness, published, txs) = run(config, &scenario);
         rows.push(vec![
             name.to_string(),
             f32c(acc),

@@ -7,13 +7,21 @@
 //! remaining *forced* selections (paths whose only continuation is
 //! garbage).
 
-use dagfl_bench::experiments::fmnist_author_dataset;
 use dagfl_bench::output::{emit, f, f32c};
-use dagfl_bench::{fmnist_model_factory, Scale};
+use dagfl_bench::Scale;
 use dagfl_core::{DagConfig, GarbageAttackConfig, GarbageAttackScenario, PublishGate, TipSelector};
+use dagfl_scenario::{DatasetSpec, Scenario};
 
 fn main() {
     let scale = Scale::from_env();
+    // The Table 1 FMNIST row on the by-author split (every client holds
+    // every class, so garbage cannot hide behind a cluster boundary).
+    let mut scenario = Scenario::preset_at("table1-fmnist", scale).expect("preset exists");
+    scenario.dataset = DatasetSpec::FmnistAuthor {
+        clients: scale.pick(10, 40),
+        samples: scale.pick(80, 120),
+        seed: 42,
+    };
     let mut rows = Vec::new();
     // The hardened arm combines the cliff guard with the best-parent
     // publish gate; the others run the paper's plain configuration.
@@ -33,27 +41,25 @@ fn main() {
         ("random", TipSelector::Random, None, PublishGate::default()),
     ];
     for (name, selector, margin, gate) in arms {
-        let dataset = fmnist_author_dataset(scale, scale.pick(10, 40), 42);
-        let features = dataset.feature_len();
+        let dataset = scenario.dataset.build();
+        let factory = scenario.build_factory(&dataset);
         let config = GarbageAttackConfig {
             dag: DagConfig {
                 rounds: scale.pick(24, 200),
                 clients_per_round: scale.pick(5, 10),
-                local_batches: scale.pick(5, 10),
                 walk_stop_margin: margin,
                 publish_gate: gate,
-                ..DagConfig::default()
+                ..*scenario.execution.dag()
             }
             .with_tip_selector(selector),
             clean_rounds: scale.pick(12, 100),
             attacks_per_round: 1,
             weight_scale: 1.0,
         };
-        let mut scenario =
-            GarbageAttackScenario::new(config, dataset, fmnist_model_factory(features, 10));
-        scenario.run().expect("scenario failed");
-        let m = scenario.measure().expect("measurement failed");
-        let late = scenario
+        let mut attack = GarbageAttackScenario::new(config, dataset, factory);
+        attack.run().expect("scenario failed");
+        let m = attack.measure().expect("measurement failed");
+        let late = attack
             .simulation()
             .history()
             .iter()

@@ -11,17 +11,17 @@
 //!   recorded walk statistics) plus the two parents, and uploads its
 //!   update if published.
 
-use dagfl_bench::experiments::{fmnist_dataset, fmnist_spec, run_dag, run_fed};
+use dagfl_baselines::{FedConfig, FederatedServer};
 use dagfl_bench::output::{emit, f, int};
-use dagfl_bench::{fmnist_model_factory, Scale};
+use dagfl_core::Simulation;
+use dagfl_scenario::Scenario;
 use rand::SeedableRng;
 
 fn main() {
-    let scale = Scale::from_env();
-    let spec = fmnist_spec(scale);
-    let dataset = fmnist_dataset(scale, 0.0, 42);
-    let features = dataset.feature_len();
-    let factory = fmnist_model_factory(features, 10);
+    let scenario = Scenario::preset("table1-fmnist").expect("preset exists");
+    let dag = *scenario.execution.dag();
+    let dataset = scenario.dataset.build();
+    let factory = scenario.build_factory(&dataset);
     let params = {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         factory(&mut rng).num_parameters()
@@ -29,7 +29,8 @@ fn main() {
     let bytes_per_model = params * 4;
 
     // DAG: count candidate downloads and uploads from the round metrics.
-    let sim = run_dag(spec, dataset.clone(), factory.clone());
+    let mut sim = Simulation::new(dag, dataset.clone(), factory.clone());
+    sim.run().expect("DAG simulation failed");
     let mut dag_download = 0u64;
     let mut dag_upload = 0u64;
     for m in sim.history() {
@@ -40,7 +41,8 @@ fn main() {
     }
 
     // FedAvg: broadcast + update per active client per round.
-    let server = run_fed(spec, 0.0, dataset, factory);
+    let mut server = FederatedServer::new(FedConfig::from_dag(&dag), dataset, factory);
+    server.run().expect("centralized training failed");
     let mut fed_download = 0u64;
     let mut fed_upload = 0u64;
     for m in server.history() {
@@ -48,7 +50,7 @@ fn main() {
         fed_upload += m.active_clients.len() as u64 * bytes_per_model as u64;
     }
 
-    let activations = (spec.rounds * spec.clients_per_round) as u64;
+    let activations = (dag.rounds * dag.clients_per_round) as u64;
     let rows = vec![
         vec![
             "dag".into(),

@@ -10,9 +10,9 @@
 
 use std::fs;
 
-use dagfl_bench::experiments::{fmnist_dataset, fmnist_spec, run_dag};
 use dagfl_bench::output::results_dir;
-use dagfl_bench::{fmnist_model_factory, Scale};
+use dagfl_core::Simulation;
+use dagfl_scenario::Scenario;
 
 /// Distinct fill colours per ground-truth cluster.
 const COLORS: [&str; 6] = [
@@ -25,13 +25,14 @@ const COLORS: [&str; 6] = [
 ];
 
 fn main() {
-    let scale = Scale::from_env();
+    let scenario = Scenario::preset("table1-fmnist").expect("preset exists");
     // A short run keeps the graph small enough to render readably.
-    let mut spec = fmnist_spec(scale);
-    spec.rounds = spec.rounds.min(12);
-    let dataset = fmnist_dataset(scale, 0.0, 42);
-    let features = dataset.feature_len();
-    let sim = run_dag(spec, dataset, fmnist_model_factory(features, 10));
+    let mut dag = *scenario.execution.dag();
+    dag.rounds = dag.rounds.min(12);
+    let dataset = scenario.dataset.build();
+    let factory = scenario.build_factory(&dataset);
+    let mut sim = Simulation::new(dag, dataset, factory);
+    sim.run().expect("DAG simulation failed");
     let clusters = sim.dataset().cluster_labels();
     let tangle = sim.tangle().to_tangle();
     let dot = tangle.to_dot(|tx| match tx.issuer() {

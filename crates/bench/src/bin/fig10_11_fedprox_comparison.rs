@@ -12,18 +12,21 @@
 //! noisier (statistical tip selection) but eventually outperforms FedAvg
 //! on both metrics and approaches FedProx on loss.
 
-use dagfl_baselines::FederatedServer;
-use dagfl_bench::experiments::{fedprox_dataset, fedprox_spec, run_dag};
+use dagfl_baselines::{FedConfig, FederatedServer};
 use dagfl_bench::output::{emit, f32c, int};
-use dagfl_bench::{fedprox_model_factory, Scale};
+use dagfl_core::Simulation;
+use dagfl_scenario::Scenario;
 
 fn main() {
-    let scale = Scale::from_env();
-    let spec = fedprox_spec(scale);
+    let scenario = Scenario::preset("fedprox-synthetic").expect("preset exists");
+    let dag = *scenario.execution.dag();
+    let dataset = scenario.dataset.build();
+    let factory = scenario.build_factory(&dataset);
     let mut rows = Vec::new();
 
     // Specializing DAG.
-    let sim = run_dag(spec, fedprox_dataset(scale, 42), fedprox_model_factory());
+    let mut sim = Simulation::new(dag, dataset.clone(), factory.clone());
+    sim.run().expect("DAG simulation failed");
     for m in sim.history() {
         rows.push(vec![
             "dag".into(),
@@ -35,11 +38,13 @@ fn main() {
 
     // Centralized baselines under 50 % stragglers.
     for (name, mu, drop) in [("fedavg", 0.0f32, true), ("fedprox", 0.1, false)] {
-        let mut config = spec.fed_config(mu);
-        config.straggler_fraction = 0.5;
-        config.drop_stragglers = drop;
-        let mut server =
-            FederatedServer::new(config, fedprox_dataset(scale, 42), fedprox_model_factory());
+        let config = FedConfig {
+            proximal_mu: mu,
+            straggler_fraction: 0.5,
+            drop_stragglers: drop,
+            ..FedConfig::from_dag(&dag)
+        };
+        let mut server = FederatedServer::new(config, dataset.clone(), factory.clone());
         server.run().expect("centralized training failed");
         for m in server.history() {
             rows.push(vec![

@@ -6,37 +6,33 @@
 //! widely) and levels out, with only marginal differences between
 //! concurrency levels — i.e. the approach scales.
 
-use dagfl_bench::experiments::{fmnist_author_dataset, RunSpec};
 use dagfl_bench::output::{emit, f, int};
-use dagfl_bench::{fmnist_model_factory, Scale};
-use dagfl_core::{Simulation, TipSelector};
+use dagfl_bench::Scale;
+use dagfl_core::{DagConfig, Simulation};
+use dagfl_scenario::{DatasetSpec, Scenario};
 
 fn main() {
     let scale = Scale::from_env();
     let rounds = scale.pick(15, 100);
+    // The Table 1 FMNIST row on one fixed author-split client pool for
+    // every concurrency level, so the series isolates the effect of
+    // concurrent activity (like the paper's fixed author-split FMNIST).
+    let mut scenario = Scenario::preset_at("table1-fmnist", scale).expect("preset exists");
+    scenario.dataset = DatasetSpec::FmnistAuthor {
+        clients: 120,
+        samples: scale.pick(80, 120),
+        seed: 42,
+    };
     let mut rows = Vec::new();
-    // One fixed client pool for every concurrency level, so the series
-    // isolates the effect of concurrent activity (like the paper's fixed
-    // author-split FMNIST).
-    let num_clients = 120;
     for active in [5usize, 10, 20, 40] {
-        let dataset = fmnist_author_dataset(scale, num_clients, 42);
-        let features = dataset.feature_len();
-        let spec = RunSpec {
+        let dataset = scenario.dataset.build();
+        let factory = scenario.build_factory(&dataset);
+        let dag = DagConfig {
             rounds,
             clients_per_round: active,
-            local_epochs: 1,
-            local_batches: scale.pick(5, 10),
-            batch_size: 10,
-            learning_rate: 0.05,
-            selector: TipSelector::default(),
-            seed: 42,
+            ..*scenario.execution.dag()
         };
-        let mut sim = Simulation::new(
-            spec.dag_config(),
-            dataset,
-            fmnist_model_factory(features, 10),
-        );
+        let mut sim = Simulation::new(dag, dataset, factory);
         for _ in 0..rounds {
             let m = sim.run_round().expect("round failed");
             rows.push(vec![

@@ -17,13 +17,12 @@
 //! DAG without breaking convergence; positive training time introduces
 //! stale tips, which the re-selection policy absorbs.
 
-use dagfl_bench::experiments::{fmnist_dataset, fmnist_spec};
 use dagfl_bench::output::{emit, f, f32c, int};
-use dagfl_bench::{fmnist_model_factory, Scale};
 use dagfl_core::{
     AsyncConfig, AsyncSimulation, ComputeProfile, DelayModel, ExecutionMode, Simulation,
     StaleTipPolicy,
 };
+use dagfl_scenario::Scenario;
 
 /// The asynchronous network scenarios compared against the round mode.
 fn async_scenarios() -> Vec<(
@@ -86,23 +85,21 @@ fn shared_columns(mode: &mut dyn ExecutionMode, seed: u64, window: usize) -> Vec
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let spec = fmnist_spec(scale);
-    let budget = spec.rounds * spec.clients_per_round;
-    let window = spec.clients_per_round * 5;
+    let table1 = Scenario::preset("table1-fmnist").expect("preset exists");
+    let dag = *table1.execution.dag();
+    let budget = dag.rounds * dag.clients_per_round;
+    let window = dag.clients_per_round * 5;
     let seeds: &[u64] = &[42, 43];
     let mut rows = Vec::new();
 
     for &seed in seeds {
-        // Round-based reference: `spec.rounds` logical time units.
-        let dataset = fmnist_dataset(scale, 0.0, seed);
+        // Round-based reference: `dag.rounds` logical time units.
+        let scenario = table1.clone().with_seed(seed);
+        let dag = *scenario.execution.dag();
+        let dataset = scenario.dataset.build();
         let num_clients = dataset.num_clients();
-        let features = dataset.feature_len();
-        let mut sim = Simulation::new(
-            spec.with_seed(seed).dag_config(),
-            dataset,
-            fmnist_model_factory(features, 10),
-        );
+        let factory = scenario.build_factory(&dataset);
+        let mut sim = Simulation::new(dag, dataset, factory.clone());
         let mut row = shared_columns(&mut sim, seed, window);
         row[2] = int(budget); // progress in activations, not rounds
         row.extend((0..6).map(|_| String::new()));
@@ -113,12 +110,12 @@ fn main() {
         // equivalent, with the per-client gap shrunk by the expected
         // mean speed so slow cohorts do not stretch the budget.
         for (name, delay, compute, train_time, stale_policy) in async_scenarios() {
-            let mean_interarrival = num_clients as f64 / spec.clients_per_round as f64
+            let mean_interarrival = num_clients as f64 / dag.clients_per_round as f64
                 * compute.expected_mean_speed(delay.slow_fraction());
-            let dataset = fmnist_dataset(scale, 0.0, seed);
+            let dataset = scenario.dataset.build();
             let mut sim = AsyncSimulation::new(
                 AsyncConfig {
-                    dag: spec.with_seed(seed).dag_config(),
+                    dag,
                     total_activations: budget,
                     mean_interarrival,
                     delay,
@@ -129,7 +126,7 @@ fn main() {
                     workers: 1,
                 },
                 dataset,
-                fmnist_model_factory(features, 10),
+                factory.clone(),
             );
             let mut row = shared_columns(&mut sim, seed, window);
             row[0] = name.to_string();

@@ -9,19 +9,20 @@
 //! paper's introduction motivates.
 
 use dagfl_baselines::LocalOnly;
-use dagfl_bench::experiments::{fmnist_dataset, fmnist_spec, run_dag};
 use dagfl_bench::output::{emit, f32c, int};
-use dagfl_bench::{fmnist_model_factory, Scale};
 use dagfl_core::analysis::cluster_specialization;
+use dagfl_core::Simulation;
+use dagfl_scenario::Scenario;
 
 fn main() {
-    let scale = Scale::from_env();
-    let spec = fmnist_spec(scale);
-    let dataset = fmnist_dataset(scale, 0.0, 42);
-    let features = dataset.feature_len();
+    let scenario = Scenario::preset("table1-fmnist").expect("preset exists");
+    let dag = *scenario.execution.dag();
+    let dataset = scenario.dataset.build();
+    let factory = scenario.build_factory(&dataset);
 
     // Specializing DAG.
-    let mut sim = run_dag(spec, dataset.clone(), fmnist_model_factory(features, 10));
+    let mut sim = Simulation::new(dag, dataset.clone(), factory.clone());
+    sim.run().expect("DAG simulation failed");
     let analysis = cluster_specialization(&mut sim).expect("analysis failed");
 
     let mut rows = Vec::new();
@@ -44,16 +45,15 @@ fn main() {
     // Summary row including the local-only baseline.
     let mut local = LocalOnly::new(
         dataset,
-        fmnist_model_factory(features, 10),
-        spec.learning_rate,
-        spec.local_batches,
-        spec.batch_size,
-        spec.seed,
+        factory,
+        dag.learning_rate,
+        dag.local_batches,
+        dag.batch_size,
+        dag.seed,
     );
     // Match the *expected* per-client budget of the DAG run: each client
     // is active clients_per_round / num_clients of the time.
-    let expected_rounds =
-        (spec.rounds * spec.clients_per_round / sim.dataset().num_clients()).max(1);
+    let expected_rounds = (dag.rounds * dag.clients_per_round / sim.dataset().num_clients()).max(1);
     local.run(expected_rounds).expect("local training failed");
 
     emit(

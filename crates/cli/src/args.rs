@@ -7,16 +7,12 @@ use std::fmt;
 /// The experiment to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Command {
-    /// Specializing-DAG round simulation.
-    Dag,
-    /// Centralized federated averaging.
+    /// Centralized federated averaging over a rounds scenario.
     FedAvg,
-    /// FedProx (FedAvg + proximal term).
+    /// FedProx (FedAvg + proximal term) over a rounds scenario.
     FedProx,
-    /// Local-only training (no communication).
+    /// Local-only training (no communication) over a rounds scenario.
     Local,
-    /// Event-driven asynchronous DAG simulation.
-    Async,
     /// Run a declarative scenario (`--scenario <file>` or
     /// `--preset <name>`).
     Run,
@@ -40,37 +36,59 @@ pub enum Command {
 }
 
 /// Every subcommand: its spelling on the command line and the titles of
-/// the [`USAGE`] sections that document its flags.
-const COMMANDS: [(&str, Command, &[&str]); 13] = [
-    ("dag", Command::Dag, &["COMMON FLAGS", "DAG FLAGS"]),
-    ("fedavg", Command::FedAvg, &["COMMON FLAGS"]),
-    (
-        "fedprox",
-        Command::FedProx,
-        &["COMMON FLAGS", "FEDPROX FLAGS"],
-    ),
-    ("local", Command::Local, &["COMMON FLAGS"]),
-    (
-        "async",
-        Command::Async,
-        &["COMMON FLAGS", "DAG FLAGS", "ASYNC FLAGS", "FAULT FLAGS"],
-    ),
+/// the [`USAGE`] sections that document its flags. A command accepts
+/// exactly the flags its sections list (plus `--help`).
+const COMMANDS: [(&str, Command, &[&str]); 11] = [
     (
         "run",
         Command::Run,
-        &["RUN FLAGS", "OVERRIDES", "SCENARIOS"],
+        &["SCENARIO FLAGS", "RUN FLAGS", "OVERRIDES", "SCENARIOS"],
     ),
-    ("analyze", Command::Analyze, &["ANALYZE FLAGS"]),
     ("sweep", Command::Sweep, &["SWEEP FLAGS", "OVERRIDES"]),
-    ("scenarios", Command::Scenarios, &["SCENARIOS"]),
+    (
+        "analyze",
+        Command::Analyze,
+        &["SCENARIO FLAGS", "ANALYZE FLAGS", "OVERRIDES"],
+    ),
+    (
+        "scenarios",
+        Command::Scenarios,
+        &["SCENARIOS FLAGS", "SCENARIOS"],
+    ),
+    (
+        "fedavg",
+        Command::FedAvg,
+        &["SCENARIO FLAGS", "BASELINE FLAGS", "OVERRIDES"],
+    ),
+    (
+        "fedprox",
+        Command::FedProx,
+        &[
+            "SCENARIO FLAGS",
+            "BASELINE FLAGS",
+            "FEDPROX FLAGS",
+            "OVERRIDES",
+        ],
+    ),
+    ("local", Command::Local, &["SCENARIO FLAGS", "OVERRIDES"]),
     ("perf", Command::Perf, &["PERF FLAGS"]),
     (
         "peer",
         Command::Peer,
-        &["COMMON FLAGS", "DAG FLAGS", "PEER FLAGS"],
+        &["SCENARIO FLAGS", "PEER FLAGS", "OVERRIDES"],
     ),
     ("tracker", Command::Tracker, &["TRACKER FLAGS"]),
     ("help", Command::Help, &[]),
+];
+
+/// Subcommands folded into `dagfl run`, with an invocation that
+/// replaces each.
+const REMOVED: [(&str, &str); 2] = [
+    ("dag", "dagfl run --preset table1-fmnist --set alpha=1"),
+    (
+        "async",
+        "dagfl run --preset async-delay2 --set output.csv=async-delay2",
+    ),
 ];
 
 impl Command {
@@ -92,12 +110,33 @@ impl Command {
             .map(|&(word, _, sections)| (word, sections))
             .expect("every subcommand is listed in COMMANDS")
     }
+
+    /// The subcommand's spelling on the command line.
+    pub(crate) fn word(self) -> &'static str {
+        self.entry().0
+    }
+
+    /// The flags this subcommand accepts: every `--flag` its [`USAGE`]
+    /// sections list at the flag column, plus `--help`.
+    pub(crate) fn flags(self) -> Vec<&'static str> {
+        let mut flags = vec!["help"];
+        for title in self.entry().1 {
+            for line in usage_section(title).unwrap_or_default() {
+                if let Some(rest) = line.strip_prefix("    --") {
+                    flags.push(rest.split_whitespace().next().unwrap_or(rest));
+                }
+            }
+        }
+        flags
+    }
 }
 
-/// The lines of the [`USAGE`] section whose title line starts with
-/// `title`, title included, up to the next section.
+/// The lines of the [`USAGE`] section titled `title` (its header line
+/// reads `TITLE:` or `TITLE (...):`), title included, up to the next
+/// section.
 fn usage_section(title: &str) -> Option<Vec<&'static str>> {
-    let mut lines = USAGE.lines().skip_while(|line| !line.starts_with(title));
+    let is_header = |line: &str| line.split([':', '(']).next().map(str::trim) == Some(title);
+    let mut lines = USAGE.lines().skip_while(|line| !is_header(line));
     let header = lines.next()?;
     let mut section = vec![header];
     section.extend(lines.take_while(|line| line.is_empty() || line.starts_with(' ')));
@@ -131,10 +170,8 @@ pub fn usage_for(command: Command) -> String {
         summary.join(" ")
     );
     for title in sections {
+        out.push('\n');
         for line in usage_section(title).unwrap_or_default() {
-            if line.starts_with(title) {
-                out.push('\n');
-            }
             out.push_str(line);
             out.push('\n');
         }
@@ -149,6 +186,20 @@ pub enum ParseError {
     MissingCommand,
     /// The subcommand is not recognised.
     UnknownCommand(String),
+    /// The subcommand was folded into `dagfl run`.
+    RemovedCommand {
+        /// The removed subcommand.
+        command: String,
+        /// An invocation that replaces it.
+        instead: &'static str,
+    },
+    /// The subcommand does not take this flag.
+    UnknownFlag {
+        /// The subcommand.
+        command: &'static str,
+        /// The flag, without its dashes.
+        flag: String,
+    },
     /// A flag is missing its value.
     MissingValue(String),
     /// A flag appeared that does not start with `--`.
@@ -167,6 +218,18 @@ impl fmt::Display for ParseError {
         match self {
             ParseError::MissingCommand => write!(f, "missing subcommand (try `dagfl help`)"),
             ParseError::UnknownCommand(c) => write!(f, "unknown subcommand `{c}`"),
+            ParseError::RemovedCommand { command, instead } => write!(
+                f,
+                "`dagfl {command}` was removed: run a scenario with `dagfl run` instead, \
+                 e.g. `{instead}`"
+            ),
+            ParseError::UnknownFlag { command, flag } => {
+                write!(f, "`dagfl {command}` has no flag `--{flag}`")?;
+                if Command::parse(command).is_some_and(|c| c.flags().contains(&"set")) {
+                    write!(f, "; set scenario keys with --set section.key=value")?;
+                }
+                write!(f, " (see `dagfl {command} --help`)")
+            }
             ParseError::MissingValue(flag) => write!(f, "flag `{flag}` is missing its value"),
             ParseError::UnexpectedToken(t) => write!(f, "unexpected token `{t}`"),
             ParseError::InvalidValue { flag, value } => {
@@ -206,8 +269,15 @@ impl ParsedArgs {
     {
         let mut iter = args.into_iter();
         let command_word = iter.next().ok_or(ParseError::MissingCommand)?;
-        let command = Command::parse(command_word.as_ref())
-            .ok_or_else(|| ParseError::UnknownCommand(command_word.as_ref().to_string()))?;
+        let word = command_word.as_ref();
+        if let Some(&(_, instead)) = REMOVED.iter().find(|(w, _)| *w == word) {
+            return Err(ParseError::RemovedCommand {
+                command: word.to_string(),
+                instead,
+            });
+        }
+        let command =
+            Command::parse(word).ok_or_else(|| ParseError::UnknownCommand(word.to_string()))?;
         let mut options: HashMap<String, Vec<String>> = HashMap::new();
         let mut positional: Option<String> = None;
         let mut pending: Option<String> = None;
@@ -237,6 +307,15 @@ impl ParsedArgs {
         }
         if let Some(flag) = pending {
             return Err(ParseError::MissingValue(format!("--{flag}")));
+        }
+        let known = command.flags();
+        let mut given: Vec<&String> = options.keys().collect();
+        given.sort_unstable();
+        if let Some(flag) = given.into_iter().find(|f| !known.contains(&f.as_str())) {
+            return Err(ParseError::UnknownFlag {
+                command: command.word(),
+                flag: flag.clone(),
+            });
         }
         Ok(Self {
             command,
@@ -355,11 +434,10 @@ COMMANDS:
               (--scenario <file> | --preset <name>)
     scenarios list scenario and sweep presets; --check <dir> validates
               scenario and sweep files, --dump <dir> writes every preset
-    dag       Specializing-DAG simulation (the paper's algorithm)
-    fedavg    centralized federated averaging baseline
-    fedprox   FedProx baseline (use --mu, --stragglers)
-    local     local-only training (no communication)
-    async     event-driven asynchronous DAG simulation
+    fedavg    centralized federated averaging on a rounds scenario's
+              dataset and hyperparameters
+    fedprox   FedProx baseline on a rounds scenario (use --mu, --stragglers)
+    local     local-only training on a rounds scenario (no communication)
     perf      walk-evaluation performance smoke (writes BENCH_walk.json)
     peer      networked DAG-FL peer: gossip over TCP, tracker discovery,
               snapshot sync for late joiners
@@ -373,20 +451,23 @@ SCENARIOS:
     DAGFL_FULL=1) for the paper's scale — the flag wins over the
     environment. `run --digest` also prints the tangle digest, a
     backend- and worker-count-independent hash of the final DAG.
+    An async scenario's `[output] csv` is its per-activation series.
 
 OVERRIDES:
-    `run --set` and sweep axes name any scenario-file key as
+    `--set` and sweep axes name any scenario-file key as
     `section.key`, or bare when one section holds it (`alpha`). Values
     use the file syntax; a bare word is a string. A key the scenario
     does not read is an error. Sweeps add `seed` and `replicate=0..n`.
 
-RUN FLAGS:
-    --scenario          scenario file to run
-    --preset            scenario preset to run
+SCENARIO FLAGS (run, analyze, fedavg, fedprox, local, peer):
+    --scenario          scenario file
+    --preset            scenario preset
     --full              resolve presets at the paper's scale
+    --set               key=value override (see OVERRIDES), repeatable,
+                        e.g. --set execution.matmul_backend=naive
+
+RUN FLAGS:
     --digest            also print the final tangle digest
-    --set               key=value override, repeatable, e.g.
-                        --set execution.workers=2 --set alpha=1
 
 SWEEP FLAGS:
     <file>              sweep file (scenarios/sweep-*.toml) or sweep preset name
@@ -399,44 +480,30 @@ SWEEP FLAGS:
     --full              resolve preset bases at the paper's scale
 
 ANALYZE FLAGS (mirror the [analysis] scenario section):
-    --scenario          scenario file to run and analyse
-    --preset            scenario preset to run and analyse
     --k                 fixed cluster count        (auto-k by silhouette)
     --k-min             auto-k sweep lower bound              (2)
     --k-max             auto-k sweep upper bound              (6)
     --cadence           analyse every N rounds     (0 = final round only)
     --source            parameters | approvals | both         (both)
-    --full              resolve presets at the paper's scale
 
-COMMON FLAGS (defaults in parentheses):
-    --dataset           fmnist | fmnist-relaxed | fmnist-author | poets |
-                        cifar | fedprox-synthetic   (fmnist)
-    --clients           number of clients           (dataset default)
-    --samples           samples per client          (dataset default)
-    --rounds            training rounds             (30)
-    --clients-per-round active clients per round    (6)
-    --batches           local batches per epoch     (10)
-    --epochs            local epochs                (1)
-    --batch-size        mini-batch size             (10)
-    --lr                SGD learning rate           (0.05)
-    --seed              master seed                 (42)
-    --backend           matmul backend: naive | tiled (tiled)
+SCENARIOS FLAGS:
+    --check             validate every *.toml scenario and sweep file in a dir
+    --dump              write every preset as a file into a dir
 
-DAG FLAGS:
-    --alpha             walk randomness parameter   (10)
-    --normalization     simple | dynamic            (simple)
-    --selector          accuracy | random | cumulative (accuracy)
-    --stop-margin       accuracy-cliff guard margin (off)
+BASELINE FLAGS (fedavg, fedprox; the dataset, model, Table 1
+    hyperparameters and seed come from a rounds scenario):
+    --stragglers        straggler fraction; fedavg drops their partial
+                        updates, fedprox keeps them     (0.0)
 
 FEDPROX FLAGS:
     --mu                proximal strength           (0.1)
-    --stragglers        straggler fraction          (0.0)
 
 PERF FLAGS:
     --transactions      synthetic tangle size                 (500)
     --walks             walks per phase (cold + warm cache)   (20)
     --samples           samples per synthetic client          (240)
     --alpha             walk randomness parameter             (10)
+    --seed              master seed                           (42)
     --clients           async-phase client count, min 3       (64)
     --workers           async-phase training threads          (4)
     --activations       async-phase total activations         (--clients)
@@ -444,36 +511,8 @@ PERF FLAGS:
     --out               output JSON path   (results/BENCH_walk.json)
     --train-out         training JSON path (results/BENCH_train.json)
 
-ASYNC FLAGS:
-    --activations       total client activations              (200)
-    --interarrival      mean activation gap of one client     (1.0)
-    --delay-model       constant | jitter | cohorts           (constant)
-    --delay             base (fast-link) propagation delay    (2.0)
-    --jitter            uniform jitter band width             (0.0)
-    --slow-fraction     slow-cohort fraction, network+compute (0.3)
-    --slow-delay        slow-link base delay (cohorts model)  (8.0)
-    --slowdown          compute slowdown of the slow cohort   (1.0 = uniform;
-                        with cohorts delays the same clients are network-slow)
-    --train-time        logical training duration             (0.0)
-    --stale-policy      publish | reselect | discard          (publish)
-    --fanout            gossip targets per publish, 0 = all   (0)
-    --workers           training threads; batching is decided by event
-                        times, so any count is byte-identical (1)
-
-FAULT FLAGS (async only; deterministic per --seed, defaults are inert):
-    --drop              per-envelope drop probability         (0.0)
-    --duplicate         per-envelope duplication probability  (0.0)
-    --reorder           per-envelope reorder probability      (0.0)
-    --extra-delay       per-envelope latency-spike probability(0.0)
-    --delay-boost       magnitude of delay-based faults       (1.0)
-    --partition-start   partition window opens (logical time)
-    --partition-heal    partition window heals (logical time)
-    --partition-split   peers 0..split vs split..n            (1)
-    --crash-at          crash one peer at this logical time
-    --crash-peer        which peer crashes                    (0)
-    --crash-restart     restart time (omit: stays down)
-
-PEER FLAGS (networked mode; dataset/DAG flags above also apply):
+PEER FLAGS (networked mode; dataset, model and hyperparameters come
+    from a rounds scenario):
     --client            this peer's client id                 (0)
     --peers             total peers in the session            (1)
     --tracker           tracker address                       (127.0.0.1:7878)
@@ -496,29 +535,27 @@ mod tests {
 
     #[test]
     fn parses_command_and_flags() {
-        let args = ParsedArgs::parse(["dag", "--rounds", "10", "--alpha", "5"]).unwrap();
-        assert_eq!(args.command(), Command::Dag);
-        assert_eq!(args.get("rounds"), Some("10"));
+        let args = ParsedArgs::parse(["perf", "--walks", "10", "--alpha", "5"]).unwrap();
+        assert_eq!(args.command(), Command::Perf);
+        assert_eq!(args.get("walks"), Some("10"));
         assert_eq!(args.get_parsed_or("alpha", 0.0f32).unwrap(), 5.0);
-        assert_eq!(args.flags(), vec!["alpha", "rounds"]);
+        assert_eq!(args.flags(), vec!["alpha", "walks"]);
     }
 
     #[test]
     fn defaults_apply_when_flag_absent() {
-        let args = ParsedArgs::parse(["fedavg"]).unwrap();
+        let args = ParsedArgs::parse(["fedavg", "--preset", "smoke"]).unwrap();
         assert_eq!(args.command(), Command::FedAvg);
-        assert_eq!(args.get_parsed_or("rounds", 30usize).unwrap(), 30);
-        assert_eq!(args.get_or("dataset", "fmnist"), "fmnist");
+        assert_eq!(args.get_parsed_or("stragglers", 0.25f32).unwrap(), 0.25);
+        assert_eq!(args.get_or("scenario", "none"), "none");
     }
 
     #[test]
     fn all_commands_parse() {
         for (word, cmd) in [
-            ("dag", Command::Dag),
             ("fedavg", Command::FedAvg),
             ("fedprox", Command::FedProx),
             ("local", Command::Local),
-            ("async", Command::Async),
             ("run", Command::Run),
             ("analyze", Command::Analyze),
             ("sweep", Command::Sweep),
@@ -530,6 +567,15 @@ mod tests {
             ("--help", Command::Help),
         ] {
             assert_eq!(ParsedArgs::parse([word]).unwrap().command(), cmd);
+        }
+        // The flag-driven modes are gone; their errors point to `run`.
+        for word in ["dag", "async"] {
+            let err = ParsedArgs::parse([word, "--rounds", "3"]).unwrap_err();
+            assert!(
+                matches!(err, ParseError::RemovedCommand { ref command, .. } if command == word),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("dagfl run"), "{err}");
         }
     }
 
@@ -552,7 +598,7 @@ mod tests {
     #[test]
     fn missing_value_errors() {
         assert!(matches!(
-            ParsedArgs::parse(["dag", "--rounds"]).unwrap_err(),
+            ParsedArgs::parse(["run", "--preset"]).unwrap_err(),
             ParseError::MissingValue(_)
         ));
     }
@@ -560,7 +606,7 @@ mod tests {
     #[test]
     fn bare_token_errors() {
         assert!(matches!(
-            ParsedArgs::parse(["dag", "ten"]).unwrap_err(),
+            ParsedArgs::parse(["run", "smoke"]).unwrap_err(),
             ParseError::UnexpectedToken(_)
         ));
     }
@@ -610,9 +656,9 @@ mod tests {
 
     #[test]
     fn invalid_typed_value_errors() {
-        let args = ParsedArgs::parse(["dag", "--rounds", "many"]).unwrap();
+        let args = ParsedArgs::parse(["perf", "--walks", "many"]).unwrap();
         assert!(matches!(
-            args.get_parsed_or("rounds", 1usize).unwrap_err(),
+            args.get_parsed_or("walks", 1usize).unwrap_err(),
             ParseError::InvalidValue { .. }
         ));
     }
@@ -632,22 +678,11 @@ mod tests {
 
     #[test]
     fn every_subcommand_has_its_own_usage() {
-        for cmd in [
-            Command::Dag,
-            Command::FedAvg,
-            Command::FedProx,
-            Command::Local,
-            Command::Async,
-            Command::Run,
-            Command::Analyze,
-            Command::Sweep,
-            Command::Scenarios,
-            Command::Perf,
-            Command::Peer,
-            Command::Tracker,
-        ] {
+        for &(word, cmd, sections) in &COMMANDS {
+            if cmd == Command::Help {
+                continue;
+            }
             let usage = usage_for(cmd);
-            let (word, sections) = cmd.entry();
             assert!(usage.starts_with(&format!("dagfl {word} — ")), "{usage}");
             // The summary line is never empty: the command is listed.
             assert!(!usage.lines().next().unwrap().ends_with("— "), "{usage}");
@@ -657,15 +692,16 @@ mod tests {
             }
         }
         assert!(usage_for(Command::Perf).contains("--transactions"));
-        assert!(!usage_for(Command::Perf).contains("--stale-policy"));
-        assert!(usage_for(Command::Async).contains("--stale-policy"));
+        assert!(!usage_for(Command::Perf).contains("--preset"));
+        assert!(usage_for(Command::FedProx).contains("--mu"));
+        assert!(!usage_for(Command::FedAvg).contains("--mu"));
         assert!(usage_for(Command::Run).contains("--digest"));
         assert_eq!(usage_for(Command::Help), USAGE);
     }
 
     #[test]
     fn count_options_reject_zero() {
-        let args = ParsedArgs::parse(["async", "--clients", "0", "--jobs", "3"]).unwrap();
+        let args = ParsedArgs::parse(["perf", "--clients", "0", "--walks", "3"]).unwrap();
         assert_eq!(
             args.get_count_or("clients", 15).unwrap_err(),
             ParseError::InvalidValue {
@@ -673,30 +709,72 @@ mod tests {
                 value: "0".into()
             }
         );
-        assert_eq!(args.get_count_or("jobs", 1).unwrap(), 3);
-        assert_eq!(args.get_count_or("rounds", 30).unwrap(), 30);
+        assert_eq!(args.get_count_or("walks", 1).unwrap(), 3);
+        assert_eq!(args.get_count_or("transactions", 30).unwrap(), 30);
         assert_eq!(args.get_count("samples").unwrap(), None);
-        assert_eq!(args.get_count("jobs").unwrap(), Some(3));
+        assert_eq!(args.get_count("walks").unwrap(), Some(3));
         assert!(args.get_count("clients").is_err());
     }
 
     #[test]
     fn usage_mentions_every_command() {
-        for cmd in [
-            "dag",
-            "fedavg",
-            "fedprox",
-            "local",
-            "async",
-            "run",
-            "analyze",
-            "sweep",
-            "scenarios",
-            "perf",
-            "peer",
-            "tracker",
-        ] {
-            assert!(USAGE.contains(cmd), "usage missing {cmd}");
+        for (word, _, _) in COMMANDS {
+            assert!(
+                USAGE.contains(&format!("\n    {word} ")),
+                "usage missing {word}"
+            );
         }
+    }
+
+    /// One rule for every subcommand: a flag its usage does not list is
+    /// an error naming the flag, never silently ignored.
+    #[test]
+    fn unknown_flags_are_rejected_for_every_subcommand() {
+        for (word, typo) in [
+            ("run", "prset"),
+            ("sweep", "job"),
+            ("analyze", "cadance"),
+            ("scenarios", "bogus"),
+            ("fedavg", "straglers"),
+            ("fedprox", "m"),
+            ("local", "rounds"),
+            ("perf", "transaction"),
+            ("peer", "lisen"),
+            ("tracker", "lisen"),
+            ("help", "verbose"),
+        ] {
+            let err = ParsedArgs::parse([word, &format!("--{typo}"), "1"]).unwrap_err();
+            assert_eq!(
+                err,
+                ParseError::UnknownFlag {
+                    command: word,
+                    flag: typo.to_string()
+                },
+                "{word}"
+            );
+            let message = err.to_string();
+            assert!(message.contains(&format!("`--{typo}`")), "{message}");
+            assert!(message.contains(&format!("dagfl {word}")), "{message}");
+        }
+        // Every command is in the table above.
+        assert_eq!(COMMANDS.len(), 11);
+    }
+
+    #[test]
+    fn every_listed_flag_is_accepted() {
+        for (word, cmd, _) in COMMANDS {
+            for flag in cmd.flags() {
+                let argv = [word.to_string(), format!("--{flag}"), "1".to_string()];
+                let argv = if BOOLEAN_FLAGS.contains(&flag) {
+                    &argv[..2]
+                } else {
+                    &argv[..]
+                };
+                ParsedArgs::parse(argv).unwrap_or_else(|e| panic!("{word} --{flag}: {e}"));
+            }
+        }
+        assert!(Command::Run.flags().contains(&"set"));
+        assert!(Command::Peer.flags().contains(&"reconnect"));
+        assert!(!Command::Local.flags().contains(&"stragglers"));
     }
 }

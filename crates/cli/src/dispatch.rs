@@ -1,373 +1,19 @@
-//! Builds datasets/models from parsed arguments and runs the experiment.
+//! Runs the parsed command. Every experiment starts from a scenario
+//! (`--scenario <file>` or `--preset <name>`, plus `--set` overrides).
 
 use std::error::Error;
 use std::path::Path;
 
 use dagfl_analysis::AnalysisSource;
 use dagfl_baselines::{FedConfig, FederatedServer, LocalOnly};
-use dagfl_core::{
-    AsyncConfig, AsyncSimulation, ComputeProfile, CoreError, CrashWindow, DagConfig, DelayModel,
-    FaultPlan, ModelFactory, Normalization, PartitionWindow, Simulation, StaleTipPolicy,
-    TipSelector,
-};
-use dagfl_datasets::{
-    cifar100_like, fedprox_synthetic, fmnist_by_author, fmnist_clustered, poets, Cifar100Config,
-    FedProxConfig, FederatedDataset, FmnistConfig, PoetsConfig,
-};
-use dagfl_nn::MatmulBackendKind;
+use dagfl_core::DagConfig;
 use dagfl_scenario::{
-    ModelSpec, Scale, Scenario, ScenarioRunner, SweepAxis, SweepRunner, SweepSpec,
+    ExecutionSpec, Scale, Scenario, ScenarioRunner, SweepAxis, SweepRunner, SweepSpec,
 };
 
 use crate::args::{usage_for, Command, ParseError, ParsedArgs, USAGE};
 
-/// The selectable datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DatasetKind {
-    /// Strictly clustered synthetic digits (3 clusters).
-    Fmnist,
-    /// Relaxed clusters (18 % foreign data).
-    FmnistRelaxed,
-    /// By-author split (all classes per client).
-    FmnistAuthor,
-    /// Two-language next-character prediction.
-    Poets,
-    /// 100-class/20-supercluster hierarchy with Pachinko allocation.
-    Cifar,
-    /// The FedProx synthetic(0.5, 0.5) benchmark.
-    FedProxSynthetic,
-}
-
-impl DatasetKind {
-    /// Parses the `--dataset` value.
-    pub fn parse(word: &str) -> Option<Self> {
-        match word {
-            "fmnist" => Some(Self::Fmnist),
-            "fmnist-relaxed" => Some(Self::FmnistRelaxed),
-            "fmnist-author" => Some(Self::FmnistAuthor),
-            "poets" => Some(Self::Poets),
-            "cifar" => Some(Self::Cifar),
-            "fedprox-synthetic" => Some(Self::FedProxSynthetic),
-            _ => None,
-        }
-    }
-}
-
-/// Dataset + matching model factory for a CLI invocation.
-fn build_task(
-    kind: DatasetKind,
-    args: &ParsedArgs,
-) -> Result<(FederatedDataset, ModelFactory), ParseError> {
-    let seed: u64 = args.get_parsed_or("seed", 42)?;
-    // Absent means the dataset's own default; an explicit 0 is an error.
-    let clients = args.get_count("clients")?;
-    let samples = args.get_count("samples")?;
-    let dataset = match kind {
-        DatasetKind::Fmnist | DatasetKind::FmnistRelaxed => fmnist_clustered(&FmnistConfig {
-            num_clients: clients.unwrap_or(15),
-            samples_per_client: samples.unwrap_or(60),
-            relaxation: if kind == DatasetKind::FmnistRelaxed {
-                0.18
-            } else {
-                0.0
-            },
-            seed,
-            ..FmnistConfig::default()
-        }),
-        DatasetKind::FmnistAuthor => fmnist_by_author(&FmnistConfig {
-            num_clients: clients.unwrap_or(12),
-            samples_per_client: samples.unwrap_or(80),
-            seed,
-            ..FmnistConfig::default()
-        }),
-        DatasetKind::Poets => poets(&PoetsConfig {
-            clients_per_language: clients.map_or(6, |c| c.div_ceil(2)),
-            samples_per_client: samples.unwrap_or(400),
-            seq_len: 12,
-            seed,
-        }),
-        DatasetKind::Cifar => cifar100_like(&Cifar100Config {
-            num_clients: clients.unwrap_or(30),
-            samples_per_client: samples.unwrap_or(60),
-            seed,
-            ..Cifar100Config::default()
-        }),
-        DatasetKind::FedProxSynthetic => fedprox_synthetic(&FedProxConfig {
-            num_clients: clients.unwrap_or(30),
-            seed,
-            ..FedProxConfig::default()
-        }),
-    };
-    let spec = match kind {
-        DatasetKind::Poets => ModelSpec::CharRnn {
-            embed: 8,
-            hidden: 32,
-        },
-        DatasetKind::FedProxSynthetic => ModelSpec::Linear,
-        _ => ModelSpec::Mlp { hidden: vec![64] },
-    };
-    let backend_word = args.get_or("backend", "tiled").to_string();
-    let backend = MatmulBackendKind::parse(&backend_word).ok_or(ParseError::InvalidValue {
-        flag: "backend".into(),
-        value: backend_word,
-    })?;
-    let inner = spec.build_factory(dataset.feature_len(), dataset.num_classes());
-    let factory: ModelFactory = std::sync::Arc::new(move |rng| {
-        let mut model = inner(rng);
-        model.set_matmul_backend(backend);
-        model
-    });
-    Ok((dataset, factory))
-}
-
-/// Dataset + factory from the common `--dataset`/`--clients`/...
-/// flags, shared with the networked subcommands.
-pub(crate) fn build_cli_task(
-    args: &ParsedArgs,
-) -> Result<(FederatedDataset, ModelFactory), Box<dyn Error>> {
-    let dataset_word = args.get_or("dataset", "fmnist").to_string();
-    let kind = DatasetKind::parse(&dataset_word).ok_or_else(|| {
-        Box::new(ParseError::InvalidValue {
-            flag: "dataset".into(),
-            value: dataset_word,
-        }) as Box<dyn Error>
-    })?;
-    Ok(build_task(kind, args)?)
-}
-
-/// [`dag_config`] for sibling modules (the peer session shares the
-/// DAG/hyperparameter flags).
-pub(crate) fn cli_dag_config(
-    args: &ParsedArgs,
-    num_clients: usize,
-) -> Result<DagConfig, ParseError> {
-    dag_config(args, num_clients)
-}
-
-/// The CLI flag a core config field is populated from, so validation
-/// errors name what the user actually typed.
-fn flag_for_field(field: &str) -> &str {
-    match field {
-        "delay.delay" | "delay.base" | "delay.fast" => "delay",
-        "delay.jitter" => "jitter",
-        "delay.slow" => "slow-delay",
-        "delay.slow_fraction" | "compute.slow_fraction" => "slow-fraction",
-        "compute.slowdown" => "slowdown",
-        "mean_interarrival" => "interarrival",
-        "train_time" => "train-time",
-        "total_activations" => "activations",
-        "learning_rate" => "lr",
-        "clients_per_round" => "clients-per-round",
-        "local_epochs" => "epochs",
-        "local_batches" => "batches",
-        "batch_size" => "batch-size",
-        "walk_stop_margin" => "stop-margin",
-        "faults.drop" => "drop",
-        "faults.duplicate" => "duplicate",
-        "faults.reorder" => "reorder",
-        "faults.extra_delay" => "extra-delay",
-        "faults.delay_boost" => "delay-boost",
-        "faults.partition" => "partition-start",
-        "faults.crash" => "crash-at",
-        // `rounds`, `alpha`, `seed`, ... already match their flags.
-        other => other,
-    }
-}
-
-/// Maps a core validation error onto the CLI's flag-error shape.
-fn config_error(err: CoreError) -> ParseError {
-    match err {
-        CoreError::InvalidField { field, value, .. } => ParseError::InvalidValue {
-            flag: flag_for_field(field).to_string(),
-            value,
-        },
-        other => ParseError::InvalidValue {
-            flag: "config".to_string(),
-            value: other.to_string(),
-        },
-    }
-}
-
-fn dag_config(args: &ParsedArgs, num_clients: usize) -> Result<DagConfig, ParseError> {
-    let alpha: f32 = args.get_parsed_or("alpha", 10.0)?;
-    let invalid = |flag: &str, value: &str| ParseError::InvalidValue {
-        flag: flag.into(),
-        value: value.into(),
-    };
-    let normalization = match args.get_or("normalization", "simple") {
-        "simple" => Normalization::Simple,
-        "dynamic" => Normalization::Dynamic,
-        other => return Err(invalid("normalization", other)),
-    };
-    let selector = match args.get_or("selector", "accuracy") {
-        "accuracy" => TipSelector::Accuracy {
-            alpha,
-            normalization,
-        },
-        "random" => TipSelector::Random,
-        "cumulative" => TipSelector::CumulativeWeight { alpha },
-        other => return Err(invalid("selector", other)),
-    };
-    let stop_margin: f32 = args.get_parsed_or("stop-margin", 0.0)?;
-    let config = DagConfig {
-        rounds: args.get_parsed_or("rounds", 30)?,
-        clients_per_round: args.get_parsed_or("clients-per-round", 6.min(num_clients))?,
-        local_epochs: args.get_parsed_or("epochs", 1)?,
-        local_batches: args.get_parsed_or("batches", 10)?,
-        batch_size: args.get_parsed_or("batch-size", 10)?,
-        learning_rate: args.get_parsed_or("lr", 0.05)?,
-        tip_selector: selector,
-        walk_stop_margin: (stop_margin > 0.0).then_some(stop_margin),
-        seed: args.get_parsed_or("seed", 42)?,
-        ..DagConfig::default()
-    };
-    // Range validation lives in core (`DagConfig::validate`), so
-    // programmatic users get the same errors as CLI users.
-    config.validate().map_err(config_error)?;
-    Ok(config)
-}
-
-/// Builds the asynchronous-mode configuration from `--delay-model`,
-/// `--stale-policy` and friends.
-fn async_config(args: &ParsedArgs, num_clients: usize) -> Result<AsyncConfig, ParseError> {
-    let base: f64 = args.get_parsed_or("delay", 2.0)?;
-    let jitter: f64 = args.get_parsed_or("jitter", 0.0)?;
-    let slow_fraction: f64 = args.get_parsed_or("slow-fraction", 0.3)?;
-    let slow_delay: f64 = args.get_parsed_or("slow-delay", 8.0)?;
-    let model_word = args.get_or("delay-model", "constant");
-    let delay = match model_word {
-        "constant" => DelayModel::Constant { delay: base },
-        "jitter" => DelayModel::UniformJitter { base, jitter },
-        "cohorts" => DelayModel::Cohorts {
-            slow_fraction,
-            fast: base,
-            slow: slow_delay,
-            jitter,
-        },
-        other => {
-            return Err(ParseError::InvalidValue {
-                flag: "delay-model".into(),
-                value: other.into(),
-            })
-        }
-    };
-    // Flags that the chosen delay model happens not to use are still
-    // range-checked, so a typo like `--slow-fraction 1.5` never passes
-    // silently: validate a cohorts model built from all raw values.
-    DelayModel::Cohorts {
-        slow_fraction,
-        fast: base,
-        slow: slow_delay,
-        jitter,
-    }
-    .validate()
-    .map_err(config_error)?;
-    let slowdown: f64 = args.get_parsed_or("slowdown", 1.0)?;
-    let compute = if slowdown != 1.0 {
-        if model_word == "cohorts" {
-            // One shared straggler cohort: slow links and slow compute
-            // hit the same clients.
-            ComputeProfile::MatchNetworkCohort { slowdown }
-        } else {
-            ComputeProfile::TwoSpeed {
-                slow_fraction,
-                slowdown,
-            }
-        }
-    } else {
-        ComputeProfile::Uniform
-    };
-    let stale_policy = match args.get_or("stale-policy", "publish") {
-        "publish" => StaleTipPolicy::PublishAnyway,
-        "reselect" => StaleTipPolicy::Reselect,
-        "discard" => StaleTipPolicy::Discard,
-        other => {
-            return Err(ParseError::InvalidValue {
-                flag: "stale-policy".into(),
-                value: other.into(),
-            })
-        }
-    };
-    let config = AsyncConfig {
-        dag: dag_config(args, num_clients)?,
-        total_activations: args.get_parsed_or("activations", 200)?,
-        mean_interarrival: args.get_parsed_or("interarrival", 1.0)?,
-        delay,
-        compute,
-        train_time: args.get_parsed_or("train-time", 0.0)?,
-        stale_policy,
-        gossip_fanout: args.get_parsed_or("fanout", 0)?,
-        workers: args.get_parsed_or("workers", 1)?,
-    };
-    // Core validation covers the rest (delays, slowdown, inter-arrival,
-    // training time and the embedded DAG config).
-    config.validate().map_err(config_error)?;
-    Ok(config)
-}
-
-/// Optional float flag: `None` when absent, an error when unparsable.
-fn opt_f64(args: &ParsedArgs, flag: &str) -> Result<Option<f64>, ParseError> {
-    args.get(flag)
-        .map(|raw| {
-            raw.parse().map_err(|_| ParseError::InvalidValue {
-                flag: flag.to_string(),
-                value: raw.to_string(),
-            })
-        })
-        .transpose()
-}
-
-/// Builds the fault-injection plan for `dagfl async` from `--drop`,
-/// `--partition-start` and friends. All defaults are zero, so a command
-/// line without fault flags yields an inert plan and the unfaulted
-/// loopback transport.
-fn fault_plan(args: &ParsedArgs) -> Result<FaultPlan, ParseError> {
-    let mut plan = FaultPlan {
-        drop: args.get_parsed_or("drop", 0.0)?,
-        duplicate: args.get_parsed_or("duplicate", 0.0)?,
-        reorder: args.get_parsed_or("reorder", 0.0)?,
-        extra_delay: args.get_parsed_or("extra-delay", 0.0)?,
-        delay_boost: args.get_parsed_or("delay-boost", 1.0)?,
-        ..FaultPlan::default()
-    };
-    if let (Some(start), Some(heal)) = (
-        opt_f64(args, "partition-start")?,
-        opt_f64(args, "partition-heal")?,
-    ) {
-        plan.partitions.push(PartitionWindow {
-            start,
-            heal,
-            split: args.get_parsed_or("partition-split", 1)?,
-        });
-    }
-    if let Some(at) = opt_f64(args, "crash-at")? {
-        plan.crashes.push(CrashWindow {
-            peer: args.get_parsed_or("crash-peer", 0)?,
-            at,
-            restart: opt_f64(args, "crash-restart")?.unwrap_or(f64::INFINITY),
-        });
-    }
-    plan.validate().map_err(config_error)?;
-    Ok(plan)
-}
-
-fn fed_config(args: &ParsedArgs, num_clients: usize, mu: f32) -> Result<FedConfig, ParseError> {
-    Ok(FedConfig {
-        rounds: args.get_count_or("rounds", 30)?,
-        clients_per_round: args.get_count_or("clients-per-round", 6.min(num_clients))?,
-        local_epochs: args.get_count_or("epochs", 1)?,
-        local_batches: args.get_count_or("batches", 10)?,
-        batch_size: args.get_count_or("batch-size", 10)?,
-        learning_rate: args.get_parsed_or("lr", 0.05)?,
-        proximal_mu: mu,
-        straggler_fraction: args.get_parsed_or("stragglers", 0.0)?,
-        drop_stragglers: mu == 0.0,
-        seed: args.get_parsed_or("seed", 42)?,
-        ..FedConfig::default()
-    })
-}
-
-/// Runs the parsed command, printing a per-round CSV to stdout.
+/// Runs the parsed command.
 ///
 /// # Errors
 ///
@@ -380,148 +26,159 @@ pub fn run_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     match args.command() {
         Command::Help => {
             println!("{USAGE}");
-            return Ok(());
+            Ok(())
         }
-        Command::Run => return run_scenario(args),
-        Command::Analyze => return analyze_command(args),
-        Command::Sweep => return sweep_command(args),
-        Command::Scenarios => return scenarios_command(args),
-        Command::Perf => return crate::perf::perf_command(args),
-        Command::Peer => return crate::net::peer_command(args),
-        Command::Tracker => return crate::net::tracker_command(args),
-        _ => {}
+        Command::Run => run_scenario(args),
+        Command::Analyze => analyze_command(args),
+        Command::Sweep => sweep_command(args),
+        Command::Scenarios => scenarios_command(args),
+        Command::FedAvg | Command::FedProx | Command::Local => baseline_command(args),
+        Command::Perf => crate::perf::perf_command(args),
+        Command::Peer => crate::net::peer_command(args),
+        Command::Tracker => crate::net::tracker_command(args),
     }
-    let (dataset, factory) = build_cli_task(args)?;
-    let n = dataset.num_clients();
+}
+
+/// The scenario a command runs: `--scenario <file>` or `--preset
+/// <name>` (at the [`requested_scale`]), with every `--set
+/// section.key=value` applied through the scenario reader, validated
+/// ([`Scenario::with_overrides`]).
+pub(crate) fn load_scenario(args: &ParsedArgs) -> Result<Scenario, Box<dyn Error>> {
+    let scenario = match (args.get("scenario"), args.get("preset")) {
+        (Some(path), None) => Scenario::load(path)?,
+        (None, Some(name)) => Scenario::preset_at(name, requested_scale(args))?,
+        _ => {
+            return Err(format!(
+                "`dagfl {}` needs exactly one of --scenario <file> or --preset <name>",
+                args.command().word()
+            )
+            .into())
+        }
+    };
+    // The same key-path rule as sweep axes, checked by the reader.
+    let overrides = args
+        .get_all("set")
+        .map(|entry| {
+            entry
+                .split_once('=')
+                .map(|(key, value)| (key.trim(), value))
+                .ok_or_else(|| ParseError::InvalidValue {
+                    flag: "set".into(),
+                    value: entry.into(),
+                })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(scenario.with_overrides(overrides)?)
+}
+
+/// The hyperparameters of a rounds scenario that `dagfl <command>` runs
+/// outside the scenario runner (the baselines, a networked peer). A
+/// scenario part the command cannot honour is an error naming it, never
+/// silently ignored.
+pub(crate) fn rounds_hyperparameters(
+    scenario: &Scenario,
+    command: Command,
+) -> Result<DagConfig, Box<dyn Error>> {
+    let word = command.word();
+    let unsupported = [
+        ("[attack]", scenario.attack.is_some()),
+        ("[faults]", scenario.faults.is_some()),
+        (
+            "[analysis]",
+            scenario.analysis.as_ref().is_some_and(|a| a.enabled),
+        ),
+        ("[output] csv", scenario.output.csv.is_some()),
+        ("[output] track_every", scenario.output.track_every > 0),
+    ];
+    if let Some((part, _)) = unsupported.iter().find(|(_, present)| *present) {
+        return Err(format!(
+            "`dagfl {word}` cannot honour the scenario's {part}; run it with `dagfl run`"
+        )
+        .into());
+    }
+    match &scenario.execution {
+        ExecutionSpec::Rounds(dag) => Ok(*dag),
+        ExecutionSpec::Async { .. } => Err(format!(
+            "`dagfl {word}` needs a rounds scenario; `{}` has an async [execution]",
+            scenario.name
+        )
+        .into()),
+    }
+}
+
+/// FedAvg, or FedProx with `--mu`, over the scenario's hyperparameters.
+/// `--stragglers` makes that fraction of each round's clients finish
+/// only part of their budget: FedAvg drops their updates, FedProx keeps
+/// them.
+fn fed_config(args: &ParsedArgs, dag: &DagConfig) -> Result<FedConfig, ParseError> {
+    let mu: f32 = if args.command() == Command::FedProx {
+        args.get_parsed_or("mu", 0.1)?
+    } else {
+        0.0
+    };
+    let stragglers: f32 = args.get_parsed_or("stragglers", 0.0)?;
+    let out_of_range = |flag: &str, value: f32| ParseError::InvalidValue {
+        flag: flag.into(),
+        value: value.to_string(),
+    };
+    if !(mu.is_finite() && mu >= 0.0) {
+        return Err(out_of_range("mu", mu));
+    }
+    if !(0.0..=1.0).contains(&stragglers) {
+        return Err(out_of_range("stragglers", stragglers));
+    }
+    Ok(FedConfig {
+        proximal_mu: mu,
+        straggler_fraction: stragglers,
+        drop_stragglers: mu == 0.0,
+        ..FedConfig::from_dag(dag)
+    })
+}
+
+/// `dagfl fedavg|fedprox|local`: a baseline on a rounds scenario's
+/// dataset, model and hyperparameters, printing a per-round CSV.
+fn baseline_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
+    let scenario = load_scenario(args)?;
+    let dag = rounds_hyperparameters(&scenario, args.command())?;
+    // Checked before the dataset is built (`local` takes neither flag).
+    let config = fed_config(args, &dag)?;
+    let dataset = scenario.dataset.build();
+    let factory = scenario.build_factory(&dataset);
     eprintln!(
-        "# dataset={} clients={} classes={} base_pureness={:.3}",
+        "# scenario={} dataset={} clients={} classes={} base_pureness={:.3}",
+        scenario.name,
         dataset.name(),
-        n,
+        dataset.num_clients(),
         dataset.num_classes(),
         dataset.base_pureness()
     );
-    match args.command() {
-        Command::Dag => {
-            let config = dag_config(args, n)?;
-            let mut sim = Simulation::new(config, dataset, factory);
-            println!("round,published,mean_accuracy,mean_loss,tangle_size");
-            for _ in 0..config.rounds {
-                let m = sim.run_round()?;
-                println!(
-                    "{},{},{:.4},{:.4},{}",
-                    m.round + 1,
-                    m.published,
-                    m.mean_accuracy(),
-                    m.mean_loss(),
-                    sim.tangle().len()
-                );
-            }
-            let spec = sim.specialization_metrics();
-            eprintln!(
-                "# pureness={:.3} modularity={:.3} partitions={} misclassification={:.3}",
-                spec.approval_pureness, spec.modularity, spec.partitions, spec.misclassification
-            );
+    if args.command() == Command::Local {
+        let mut local = LocalOnly::new(
+            dataset,
+            factory,
+            dag.learning_rate,
+            dag.local_batches,
+            dag.batch_size,
+            dag.seed,
+        );
+        println!("round,mean_accuracy");
+        for round in 0..dag.rounds {
+            local.run_round()?;
+            println!("{},{:.4}", round + 1, local.mean_accuracy()?);
         }
-        Command::FedAvg | Command::FedProx => {
-            let mu = if args.command() == Command::FedProx {
-                args.get_parsed_or("mu", 0.1)?
-            } else {
-                0.0
-            };
-            let config = fed_config(args, n, mu)?;
-            let mut server = FederatedServer::new(config, dataset, factory);
-            println!("round,mean_accuracy,mean_loss,stragglers");
-            for _ in 0..config.rounds {
-                let m = server.run_round()?;
-                println!(
-                    "{},{:.4},{:.4},{}",
-                    m.round + 1,
-                    m.mean_accuracy(),
-                    m.mean_loss(),
-                    m.stragglers
-                );
-            }
-        }
-        Command::Local => {
-            let rounds = args.get_count_or("rounds", 30)?;
-            let mut local = LocalOnly::new(
-                dataset,
-                factory,
-                args.get_parsed_or("lr", 0.05)?,
-                args.get_count_or("batches", 10)?,
-                args.get_count_or("batch-size", 10)?,
-                args.get_parsed_or("seed", 42)?,
-            );
-            println!("round,mean_accuracy");
-            for round in 0..rounds {
-                local.run_round()?;
-                println!("{},{:.4}", round + 1, local.mean_accuracy()?);
-            }
-        }
-        Command::Async => {
-            let config = async_config(args, n)?;
-            let plan = fault_plan(args)?;
-            let mut sim = AsyncSimulation::try_new_with_faults(config, dataset, factory, plan)?;
-            println!("activation,started,completed,client,accuracy,published,stale_parents");
-            for i in 0..config.total_activations {
-                let r = sim.step()?;
-                println!(
-                    "{},{:.2},{:.2},{},{:.4},{},{}",
-                    i + 1,
-                    r.started,
-                    r.completed,
-                    r.client,
-                    r.accuracy,
-                    r.published,
-                    r.stale_parents
-                );
-            }
-            let m = sim.metrics();
-            eprintln!(
-                "# activations={} elapsed={:.2} rate={:.3}/t publish_fraction={:.3}",
-                m.activations,
-                m.elapsed,
-                m.activation_rate(),
-                m.publish_fraction()
-            );
-            eprintln!(
-                "# publish_latency mean={:.3} max={:.3} stale_fraction={:.3} \
-                 staleness=[{},{},{}] discarded={} reselected={}",
-                m.mean_publish_latency,
-                m.max_publish_latency,
-                m.stale_fraction(),
-                m.staleness_histogram[0],
-                m.staleness_histogram[1],
-                m.staleness_histogram[2],
-                m.discarded_stale,
-                m.reselections
-            );
-            eprintln!(
-                "# confirmation_depth={:.2} transactions={} tips={} pending={} pureness={:.3}",
-                m.mean_confirmation_depth,
-                m.transactions,
-                m.tips,
-                sim.pending_deliveries(),
-                sim.approval_pureness()
-            );
-            let stats = sim.transport_stats();
-            if stats.has_faults() {
-                eprintln!(
-                    "# faults delivered={} dropped={} duplicated={}",
-                    stats.delivered, stats.dropped, stats.duplicated
-                );
-            }
-        }
-        Command::Help
-        | Command::Run
-        | Command::Analyze
-        | Command::Sweep
-        | Command::Scenarios
-        | Command::Perf
-        | Command::Peer
-        | Command::Tracker => {
-            unreachable!("handled above")
-        }
+        return Ok(());
+    }
+    let mut server = FederatedServer::new(config, dataset, factory);
+    println!("round,mean_accuracy,mean_loss,stragglers");
+    for _ in 0..config.rounds {
+        let m = server.run_round()?;
+        println!(
+            "{},{:.4},{:.4},{}",
+            m.round + 1,
+            m.mean_accuracy(),
+            m.mean_loss(),
+            m.stragglers
+        );
     }
     Ok(())
 }
@@ -540,38 +197,7 @@ fn requested_scale(args: &ParsedArgs) -> Scale {
 /// `dagfl run --scenario <file>` / `dagfl run --preset <name>`: resolve,
 /// validate and execute one declarative scenario, printing the report.
 fn run_scenario(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
-    // Scenario keys change only through --set, so any other flag is a
-    // mistake that must fail rather than be ignored.
-    let known = ["scenario", "preset", "full", "digest", "set"];
-    if let Some(flag) = args.flags().into_iter().find(|f| !known.contains(f)) {
-        return Err(format!(
-            "`dagfl run` has no flag `--{flag}`; set scenario keys with --set section.key=value"
-        )
-        .into());
-    }
-    let scenario = match (args.get("scenario"), args.get("preset")) {
-        (Some(path), None) => Scenario::load(path)?,
-        (None, Some(name)) => Scenario::preset_at(name, requested_scale(args))?,
-        _ => {
-            return Err(
-                "`dagfl run` needs exactly one of --scenario <file> or --preset <name>".into(),
-            )
-        }
-    };
-    // `--set section.key=value` (repeatable): the same key-path rule as
-    // sweep axes, checked by the scenario reader.
-    let overrides = args
-        .get_all("set")
-        .map(|entry| {
-            entry
-                .split_once('=')
-                .ok_or_else(|| ParseError::InvalidValue {
-                    flag: "set".into(),
-                    value: entry.into(),
-                })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let scenario = scenario.with_overrides(overrides.into_iter().map(|(k, v)| (k.trim(), v)))?;
+    let scenario = load_scenario(args)?;
     let runner = ScenarioRunner::new(scenario)?;
     eprintln!(
         "# scenario={} mode={}",
@@ -593,15 +219,7 @@ fn run_scenario(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
 /// own `[analysis]` section) and print the cluster assignment table
 /// plus the quality metrics.
 fn analyze_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
-    let mut scenario = match (args.get("scenario"), args.get("preset")) {
-        (Some(path), None) => Scenario::load(path)?,
-        (None, Some(name)) => Scenario::preset_at(name, requested_scale(args))?,
-        _ => {
-            return Err(
-                "`dagfl analyze` needs exactly one of --scenario <file> or --preset <name>".into(),
-            )
-        }
-    };
+    let mut scenario = load_scenario(args)?;
     // Start from the scenario's own [analysis] section (or the
     // defaults), then let flags override it, mirroring the file schema.
     let mut spec = scenario.analysis.take().unwrap_or_default();
@@ -869,22 +487,57 @@ fn dump_presets(dir: &Path) -> Result<(), Box<dyn Error>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dagfl_core::{ComputeProfile, DelayModel, Normalization, StaleTipPolicy, TipSelector};
+    use dagfl_nn::MatmulBackendKind;
 
+    /// The scenario `argv` resolves to.
+    fn scenario(argv: &[&str]) -> Result<Scenario, Box<dyn Error>> {
+        load_scenario(&ParsedArgs::parse(argv)?)
+    }
+
+    /// The async configuration of a scenario.
+    fn async_config(argv: &[&str]) -> dagfl_core::AsyncConfig {
+        match scenario(argv).unwrap().execution {
+            ExecutionSpec::Async { config, .. } => config,
+            other => panic!("{argv:?}: not async: {other:?}"),
+        }
+    }
+
+    /// Every dataset the deleted `--dataset` flag offered has a preset.
     #[test]
     fn dataset_kinds_parse() {
-        assert_eq!(DatasetKind::parse("fmnist"), Some(DatasetKind::Fmnist));
-        assert_eq!(DatasetKind::parse("poets"), Some(DatasetKind::Poets));
-        assert_eq!(
-            DatasetKind::parse("fedprox-synthetic"),
-            Some(DatasetKind::FedProxSynthetic)
-        );
-        assert_eq!(DatasetKind::parse("unknown"), None);
+        for (preset, kind) in [
+            ("table1-fmnist", "fmnist"),
+            ("fig08-alpha10", "fmnist"),
+            ("poisoning-p0.2", "fmnist-author"),
+            ("table1-poets", "poets"),
+            ("table1-cifar", "cifar"),
+            ("fedprox-synthetic", "fedprox"),
+        ] {
+            let s = scenario(&["fedavg", "--preset", preset]).unwrap();
+            assert_eq!(s.dataset.kind(), kind, "{preset}");
+        }
+        let relaxed = scenario(&["run", "--preset", "fig08-alpha10"]).unwrap();
+        assert!(matches!(
+            relaxed.dataset,
+            dagfl_scenario::DatasetSpec::Fmnist { relaxation, .. } if relaxation > 0.0
+        ));
     }
 
     #[test]
     fn build_task_produces_matching_model() {
-        let args = ParsedArgs::parse(["dag", "--clients", "6", "--samples", "30"]).unwrap();
-        let (dataset, factory) = build_task(DatasetKind::Fmnist, &args).unwrap();
+        // `--backend naive` is now a scenario key.
+        let s = scenario(&[
+            "local",
+            "--preset",
+            "smoke",
+            "--set",
+            "execution.matmul_backend=naive",
+        ])
+        .unwrap();
+        assert_eq!(s.matmul_backend, MatmulBackendKind::Naive);
+        let dataset = s.dataset.build();
+        let factory = s.build_factory(&dataset);
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
         let model = factory(&mut rng);
         // The model accepts the dataset's feature width.
@@ -896,19 +549,21 @@ mod tests {
 
     #[test]
     fn dag_config_respects_flags() {
-        let args = ParsedArgs::parse([
-            "dag",
-            "--rounds",
-            "7",
-            "--alpha",
-            "3",
-            "--normalization",
-            "dynamic",
-            "--stop-margin",
-            "0.2",
+        let s = scenario(&[
+            "run",
+            "--preset",
+            "smoke",
+            "--set",
+            "execution.rounds=7",
+            "--set",
+            "alpha=3",
+            "--set",
+            "normalization=dynamic",
+            "--set",
+            "execution.stop_margin=0.2",
         ])
         .unwrap();
-        let cfg = dag_config(&args, 20).unwrap();
+        let cfg = s.execution.dag();
         assert_eq!(cfg.rounds, 7);
         assert_eq!(cfg.walk_stop_margin, Some(0.2));
         match cfg.tip_selector {
@@ -925,26 +580,96 @@ mod tests {
 
     #[test]
     fn selector_flag_switches_strategy() {
-        let args = ParsedArgs::parse(["dag", "--selector", "random"]).unwrap();
+        let selector = |sets: &[&str]| {
+            let mut argv = vec!["run", "--preset", "smoke"];
+            for set in sets {
+                argv.extend(["--set", set]);
+            }
+            scenario(&argv).unwrap().execution.dag().tip_selector
+        };
+        assert_eq!(selector(&["selector=random"]), TipSelector::Random);
         assert_eq!(
-            dag_config(&args, 10).unwrap().tip_selector,
-            TipSelector::Random
-        );
-        let args = ParsedArgs::parse(["dag", "--selector", "cumulative", "--alpha", "2"]).unwrap();
-        assert_eq!(
-            dag_config(&args, 10).unwrap().tip_selector,
+            selector(&["selector=cumulative", "alpha=2"]),
             TipSelector::CumulativeWeight { alpha: 2.0 }
         );
     }
 
     #[test]
     fn fed_config_wires_stragglers() {
-        let args = ParsedArgs::parse(["fedprox", "--stragglers", "0.5"]).unwrap();
-        let cfg = fed_config(&args, 10, 0.1).unwrap();
+        let parse = |argv: &[&str]| ParsedArgs::parse(argv).unwrap();
+        let dag = *Scenario::preset_at("table1-fmnist", Scale::Quick)
+            .unwrap()
+            .execution
+            .dag();
+        let args = parse(&[
+            "fedprox",
+            "--preset",
+            "table1-fmnist",
+            "--stragglers",
+            "0.5",
+        ]);
+        let cfg = fed_config(&args, &dag).unwrap();
         assert_eq!(cfg.straggler_fraction, 0.5);
+        assert_eq!(cfg.proximal_mu, 0.1);
         assert!(!cfg.drop_stragglers, "fedprox keeps stragglers");
-        let cfg = fed_config(&args, 10, 0.0).unwrap();
+        // Everything else is the scenario's Table 1 row.
+        assert_eq!(
+            FedConfig {
+                proximal_mu: 0.0,
+                straggler_fraction: 0.0,
+                ..cfg
+            },
+            FedConfig::from_dag(&dag)
+        );
+        let args = parse(&["fedavg", "--preset", "table1-fmnist", "--stragglers", "0.5"]);
+        let cfg = fed_config(&args, &dag).unwrap();
+        assert_eq!(cfg.proximal_mu, 0.0);
         assert!(cfg.drop_stragglers, "fedavg drops stragglers");
+        for bad in [
+            ["--mu", "much"],
+            ["--mu", "-5"],
+            ["--mu", "inf"],
+            ["--stragglers", "1.5"],
+            ["--stragglers", "-1"],
+            ["--stragglers", "nan"],
+        ] {
+            let args = parse(&["fedprox", "--preset", "table1-fmnist", bad[0], bad[1]]);
+            let err = fed_config(&args, &dag).unwrap_err();
+            assert!(err.to_string().contains(&bad[0][2..]), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn baselines_refuse_what_they_cannot_honour() {
+        for (argv, needle) in [
+            (vec!["fedavg", "--preset", "poisoning-p0.2"], "[attack]"),
+            (vec!["fedprox", "--preset", "analysis-smoke"], "[analysis]"),
+            (
+                vec!["local", "--preset", "async-delay2"],
+                "async [execution]",
+            ),
+            (vec!["fedavg", "--preset", "chaos-smoke"], "[faults]"),
+            (
+                vec!["fedavg", "--preset", "smoke", "--set", "output.csv=x"],
+                "[output] csv",
+            ),
+            (vec!["local", "--preset", "fig05-alpha10"], "[analysis]"),
+        ] {
+            let err = run_command(&ParsedArgs::parse(argv.clone()).unwrap())
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(needle), "{argv:?}: {err}");
+        }
+        // A disabled analysis section is inert, so it is no obstacle.
+        let args = ParsedArgs::parse([
+            "local",
+            "--preset",
+            "analysis-smoke",
+            "--set",
+            "analysis.enabled=false",
+        ])
+        .unwrap();
+        run_command(&args).unwrap();
     }
 
     #[test]
@@ -955,88 +680,81 @@ mod tests {
 
     #[test]
     fn run_command_tiny_dag_succeeds() {
-        let args = ParsedArgs::parse([
-            "dag",
-            "--clients",
-            "4",
-            "--samples",
-            "30",
-            "--rounds",
-            "2",
-            "--clients-per-round",
-            "2",
-            "--batches",
-            "2",
-        ])
-        .unwrap();
+        let args =
+            ParsedArgs::parse(["run", "--preset", "smoke", "--set", "execution.rounds=1"]).unwrap();
         run_command(&args).unwrap();
     }
 
     #[test]
     fn run_command_rejects_bad_dataset() {
-        let args = ParsedArgs::parse(["dag", "--dataset", "imagenet"]).unwrap();
-        assert!(run_command(&args).is_err());
+        let args =
+            ParsedArgs::parse(["run", "--preset", "smoke", "--set", "dataset.kind=imagenet"])
+                .unwrap();
+        assert!(run_command(&args)
+            .unwrap_err()
+            .to_string()
+            .contains("imagenet"));
     }
 
     #[test]
     fn run_command_tiny_local_succeeds() {
-        let args = ParsedArgs::parse([
-            "local",
-            "--clients",
-            "3",
-            "--samples",
-            "30",
-            "--rounds",
-            "2",
-            "--batches",
-            "2",
-        ])
-        .unwrap();
-        run_command(&args).unwrap();
+        for command in ["local", "fedavg", "fedprox"] {
+            let args = ParsedArgs::parse([command, "--preset", "smoke"]).unwrap();
+            run_command(&args).unwrap_or_else(|e| panic!("{command}: {e}"));
+        }
     }
 
     #[test]
     fn run_command_tiny_async_succeeds() {
         let args = ParsedArgs::parse([
-            "async",
-            "--clients",
-            "4",
-            "--samples",
-            "30",
-            "--activations",
-            "5",
-            "--batches",
-            "2",
+            "run",
+            "--preset",
+            "chaos-smoke",
+            "--set",
+            "execution.activations=5",
         ])
         .unwrap();
         run_command(&args).unwrap();
     }
 
+    /// Range checks name the scenario key the user set.
     #[test]
     fn validation_errors_name_the_flag_the_user_typed() {
-        for (flags, flag_name) in [
-            (vec!["async", "--slow-fraction", "1.5"], "slow-fraction"),
-            (vec!["async", "--delay", "-1"], "delay"),
-            (vec!["async", "--interarrival", "0"], "interarrival"),
-            (vec!["async", "--train-time", "-2"], "train-time"),
-            (vec!["async", "--slowdown", "0.5"], "slowdown"),
-            (vec!["dag", "--lr", "-1"], "lr"),
-            (vec!["dag", "--batches", "0"], "batches"),
-            (vec!["dag", "--selector", "randon"], "selector"),
-            (vec!["dag", "--normalization", "dynamc"], "normalization"),
+        for (preset, set, path) in [
+            (
+                "async-cohorts",
+                "slow_fraction=1.5",
+                "execution.slow_fraction",
+            ),
+            ("async-delay2", "execution.delay=-1", "execution.delay"),
+            ("async-delay2", "interarrival=0", "execution.interarrival"),
+            (
+                "async-delay2",
+                "execution.train_time=-2",
+                "execution.train_time",
+            ),
+            (
+                "async-cohorts",
+                "execution.slowdown=0.5",
+                "execution.slowdown",
+            ),
+            (
+                "smoke",
+                "execution.learning_rate=-1",
+                "execution.learning_rate",
+            ),
+            (
+                "smoke",
+                "execution.local_batches=0",
+                "execution.local_batches",
+            ),
+            ("smoke", "execution.selector=randon", "execution.selector"),
+            ("smoke", "normalization=dynamc", "execution.normalization"),
         ] {
-            let args = ParsedArgs::parse(flags.clone()).unwrap();
-            let err = if flags[0] == "async" {
-                async_config(&args, 10).unwrap_err()
-            } else {
-                dag_config(&args, 10).unwrap_err()
-            };
-            match err {
-                ParseError::InvalidValue { ref flag, .. } => {
-                    assert_eq!(flag, flag_name, "{flags:?}")
-                }
-                other => panic!("{flags:?}: unexpected error {other:?}"),
-            }
+            let err = scenario(&["run", "--preset", preset, "--set", set])
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(&format!("`{path}`")), "{set}: {err}");
         }
     }
 
@@ -1071,10 +789,10 @@ mod tests {
 
     #[test]
     fn run_set_overrides_keys_through_the_scenario_reader() {
-        let run = |extra: &[&str]| {
+        let run = |extra: &[&str]| -> Result<(), Box<dyn Error>> {
             let mut argv = vec!["run", "--preset", "smoke"];
             argv.extend_from_slice(extra);
-            run_command(&ParsedArgs::parse(argv).unwrap())
+            run_command(&ParsedArgs::parse(argv)?)
         };
         run(&["--set", "execution.walk_depth_max=20", "--set", "alpha=1"]).unwrap();
         for (set, needle) in [
@@ -1087,7 +805,7 @@ mod tests {
             let err = run(&["--set", set]).unwrap_err().to_string();
             assert!(err.contains(needle), "{set}: {err}");
         }
-        // The old worker flag is refused, not ignored.
+        // The old worker flag is refused when parsed, not ignored.
         let err = run(&["--workers", "2"]).unwrap_err().to_string();
         assert!(err.contains("--set"), "{err}");
         // Async scenarios take a worker count; zero fails validation.
@@ -1261,27 +979,29 @@ mod tests {
 
     #[test]
     fn async_config_builds_cohort_delay_and_policy() {
-        let args = ParsedArgs::parse([
-            "async",
-            "--delay-model",
-            "cohorts",
-            "--delay",
-            "1.5",
-            "--slow-delay",
-            "12",
-            "--slow-fraction",
-            "0.4",
-            "--jitter",
-            "0.5",
-            "--slowdown",
-            "4",
-            "--train-time",
-            "0.8",
-            "--stale-policy",
-            "reselect",
-        ])
-        .unwrap();
-        let cfg = async_config(&args, 10).unwrap();
+        let cfg = async_config(&[
+            "run",
+            "--preset",
+            "async-delay2",
+            "--set",
+            "delay_model=cohorts",
+            "--set",
+            "delay=1.5",
+            "--set",
+            "execution.slow_delay=12",
+            "--set",
+            "execution.slow_fraction=0.4",
+            "--set",
+            "execution.jitter=0.5",
+            "--set",
+            "compute=match-network",
+            "--set",
+            "execution.slowdown=4",
+            "--set",
+            "train_time=0.8",
+            "--set",
+            "stale_policy=reselect",
+        ]);
         assert_eq!(
             cfg.delay,
             DelayModel::Cohorts {
@@ -1291,8 +1011,7 @@ mod tests {
                 jitter: 0.5,
             }
         );
-        // Under the cohorts delay model the compute slowdown applies to
-        // the same (network-slow) clients.
+        // The cohorts delay model's slow clients are also compute-slow.
         assert_eq!(
             cfg.compute,
             ComputeProfile::MatchNetworkCohort { slowdown: 4.0 }
@@ -1303,9 +1022,17 @@ mod tests {
 
     #[test]
     fn async_config_uses_independent_cohort_without_cohort_delays() {
-        let args =
-            ParsedArgs::parse(["async", "--slowdown", "3", "--slow-fraction", "0.2"]).unwrap();
-        let cfg = async_config(&args, 10).unwrap();
+        let cfg = async_config(&[
+            "run",
+            "--preset",
+            "async-delay2",
+            "--set",
+            "compute=two-speed",
+            "--set",
+            "execution.slowdown=3",
+            "--set",
+            "execution.compute_slow_fraction=0.2",
+        ]);
         assert_eq!(
             cfg.compute,
             ComputeProfile::TwoSpeed {
@@ -1317,47 +1044,69 @@ mod tests {
 
     #[test]
     fn async_config_rejects_out_of_range_values_instead_of_panicking() {
-        for flags in [
-            vec!["async", "--delay", "-1"],
-            vec!["async", "--jitter", "-0.5"],
-            vec!["async", "--slow-fraction", "1.5"],
-            vec!["async", "--slowdown", "0.5"],
-            vec!["async", "--interarrival", "0"],
-            vec!["async", "--train-time", "-2"],
-            vec!["async", "--delay-model", "cohorts", "--slow-delay", "-3"],
+        for set in [
+            "execution.delay=-1",
+            "execution.interarrival=0",
+            "execution.train_time=-2",
+            "execution.activations=0",
         ] {
-            let args = ParsedArgs::parse(flags.clone()).unwrap();
             assert!(
-                matches!(
-                    async_config(&args, 10),
-                    Err(ParseError::InvalidValue { .. })
-                ),
-                "expected InvalidValue for {flags:?}"
+                scenario(&["run", "--preset", "async-delay2", "--set", set]).is_err(),
+                "{set}"
+            );
+        }
+        for set in [
+            "execution.jitter=-0.5",
+            "execution.slow_fraction=1.5",
+            "execution.slowdown=0.5",
+            "execution.slow_delay=-3",
+        ] {
+            assert!(
+                scenario(&["run", "--preset", "async-cohorts", "--set", set]).is_err(),
+                "{set}"
             );
         }
     }
 
     #[test]
     fn async_config_defaults_to_constant_delay_uniform_compute() {
-        let args = ParsedArgs::parse(["async"]).unwrap();
-        let cfg = async_config(&args, 10).unwrap();
+        let cfg = async_config(&["run", "--preset", "async-delay2"]);
         assert_eq!(cfg.delay, DelayModel::Constant { delay: 2.0 });
         assert_eq!(cfg.compute, ComputeProfile::Uniform);
         assert_eq!(cfg.stale_policy, StaleTipPolicy::PublishAnyway);
-        assert_eq!(cfg.total_activations, 200);
+        assert_eq!(cfg.total_activations, 30 * 6);
     }
 
     #[test]
     fn async_config_rejects_unknown_words() {
-        let args = ParsedArgs::parse(["async", "--delay-model", "warp"]).unwrap();
-        assert!(matches!(
-            async_config(&args, 10).unwrap_err(),
-            ParseError::InvalidValue { .. }
-        ));
-        let args = ParsedArgs::parse(["async", "--stale-policy", "retry"]).unwrap();
-        assert!(matches!(
-            async_config(&args, 10).unwrap_err(),
-            ParseError::InvalidValue { .. }
-        ));
+        for set in ["delay_model=warp", "stale_policy=retry"] {
+            let err = scenario(&["run", "--preset", "async-delay2", "--set", set])
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(set.split('=').nth(1).unwrap()), "{err}");
+        }
+    }
+
+    /// `[output] csv` on an async scenario is the per-activation series
+    /// that the removed `dagfl async` printed.
+    #[test]
+    fn async_csv_output_is_the_activation_series() {
+        let args = ParsedArgs::parse([
+            "run",
+            "--preset",
+            "chaos-smoke",
+            "--set",
+            "output.csv=cli_async_series_test",
+        ])
+        .unwrap();
+        run_command(&args).unwrap();
+        let dir = std::env::var("DAGFL_RESULTS").unwrap_or_else(|_| "results".into());
+        let csv = Path::new(&dir).join("cli_async_series_test.csv");
+        let content = std::fs::read_to_string(&csv).unwrap();
+        assert!(content
+            .starts_with("activation,started,completed,client,accuracy,published,stale_parents\n"));
+        assert_eq!(content.lines().count(), 61);
+        let _ = std::fs::remove_file(&csv);
+        let _ = std::fs::remove_dir(&dir);
     }
 }

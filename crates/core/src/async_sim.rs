@@ -134,8 +134,8 @@ impl Default for AsyncConfig {
 
 impl AsyncConfig {
     /// Checks every field, including the embedded [`DagConfig`] and the
-    /// delay/compute models — the same ranges `dagfl async` enforces, so
-    /// programmatic users get identical errors. The `dag` fields this
+    /// delay/compute models — the same ranges async scenario files are
+    /// checked against, so programmatic users get identical errors. The `dag` fields this
     /// mode ignores (`rounds`, `clients_per_round`, `parallel`) are
     /// exempt.
     ///

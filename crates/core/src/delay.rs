@@ -195,9 +195,9 @@ pub enum ComputeProfile {
     /// compute-slow: exactly the clients with slow links run
     /// `slowdown`× slower. This is the realistic straggler regime —
     /// cheap devices tend to have both poor connectivity and poor
-    /// compute — and what `dagfl async --delay-model cohorts
-    /// --slowdown ...` constructs. Under a delay model without
-    /// cohorts, every client runs at speed 1.0.
+    /// compute — and what a scenario with `delay_model = "cohorts"` and
+    /// `compute = "match-network"` constructs. Under a delay model
+    /// without cohorts, every client runs at speed 1.0.
     MatchNetworkCohort {
         /// How many times slower the slow cohort is (≥ 1.0).
         slowdown: f64,

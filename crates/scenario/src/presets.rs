@@ -56,6 +56,10 @@ pub const PRESET_NAMES: &[(&str, &str)] = &[
         "Table 1, CIFAR-100 row (dynamic normalization)",
     ),
     (
+        "fedprox-synthetic",
+        "Figures 10-11: FedProx synthetic(0.5, 0.5), 30 clients, 10 per round",
+    ),
+    (
         "fig05-alpha10",
         "Figure 5: tracked cluster metrics on FMNIST (also -alpha1, -alpha100)",
     ),
@@ -315,6 +319,28 @@ fn build(name: &str, scale: Scale) -> Option<Scenario> {
                 ..DagConfig::default()
             })),
         ),
+        "fedprox-synthetic" => Some(
+            Scenario::new(
+                name,
+                DatasetSpec::FedProx {
+                    clients: 30,
+                    min_samples: 50,
+                    max_samples: scale.pick(200, 300),
+                    seed: 42,
+                },
+            )
+            .with_execution(crate::spec::ExecutionSpec::Rounds(DagConfig {
+                rounds: scale.pick(30, 100),
+                clients_per_round: 10,
+                // Enough local work that client updates actually drift
+                // apart: the regime in which the proximal term pays off.
+                local_epochs: 2,
+                local_batches: scale.pick(15, 20),
+                batch_size: 10,
+                learning_rate: 0.03,
+                ..DagConfig::default()
+            })),
+        ),
         "poisoning-p0.0" => Some(poisoning_scenario(name, scale, 0.0, TipSelector::default())),
         "poisoning-p0.2" => Some(poisoning_scenario(name, scale, 0.2, TipSelector::default())),
         "poisoning-p0.3" => Some(poisoning_scenario(name, scale, 0.3, TipSelector::default())),
@@ -532,6 +558,22 @@ mod tests {
         let cifar = Scenario::preset_at("table1-cifar", Scale::Full).unwrap();
         assert_eq!(cifar.execution.dag().local_epochs, 5);
         assert_eq!(cifar.execution.dag().learning_rate, 0.01);
+    }
+
+    #[test]
+    fn fedprox_preset_matches_the_figure_10_setup() {
+        let quick = Scenario::preset_at("fedprox-synthetic", Scale::Quick).unwrap();
+        let full = Scenario::preset_at("fedprox-synthetic", Scale::Full).unwrap();
+        assert_eq!(quick.dataset.num_clients(), 30);
+        assert_eq!(quick.model, crate::spec::ModelSpec::Linear);
+        let dag = quick.execution.dag();
+        assert_eq!(
+            (dag.rounds, dag.clients_per_round, dag.local_epochs),
+            (30, 10, 2)
+        );
+        assert_eq!(dag.learning_rate, 0.03);
+        assert_eq!(full.execution.dag().rounds, 100);
+        assert_eq!(full.execution.dag().local_batches, 20);
     }
 
     #[test]

@@ -5,8 +5,8 @@ use std::path::PathBuf;
 use dagfl_analysis::AnalysisSnapshot;
 use dagfl_core::csv::write_csv;
 use dagfl_core::{
-    tangle_digest, AsyncMetrics, AsyncSimulation, ExecutionMode, PoisonRoundMetrics,
-    PoisoningConfig, PoisoningScenario, Simulation, SpecializationMetrics,
+    tangle_digest, ActivationRecord, AsyncMetrics, AsyncSimulation, ExecutionMode,
+    PoisonRoundMetrics, PoisoningConfig, PoisoningScenario, Simulation, SpecializationMetrics,
 };
 use dagfl_tangle::TangleStats;
 
@@ -239,6 +239,8 @@ impl ScenarioRunner {
         };
         let factory = self.scenario.build_factory(&dataset);
         let window = self.scenario.output.recent_window;
+        // The async series: kept only when a CSV asks for it.
+        let mut activations = Vec::new();
         let mut report = match (&self.scenario.execution, &self.scenario.attack) {
             (ExecutionSpec::Rounds(dag), Some(attack)) => {
                 let config = PoisoningConfig {
@@ -372,6 +374,9 @@ impl ScenarioRunner {
                 let mut sim =
                     AsyncSimulation::try_new_with_faults(*config, dataset, factory, plan)?;
                 sim.run()?;
+                if self.scenario.output.csv.is_some() {
+                    activations = sim.history().to_vec();
+                }
                 let metrics = sim.metrics();
                 RunReport {
                     scenario: self.scenario.name.clone(),
@@ -399,52 +404,47 @@ impl ScenarioRunner {
             }
         };
         if let Some(csv) = &self.scenario.output.csv {
-            report.csv_path = Some(self.write_csv(csv, &report)?);
+            report.csv_path = Some(self.write_csv(csv, &report, &activations)?);
         }
         Ok(report)
     }
 
-    fn write_csv(&self, name: &str, report: &RunReport) -> Result<PathBuf, ScenarioError> {
+    fn write_csv(
+        &self,
+        name: &str,
+        report: &RunReport,
+        activations: &[ActivationRecord],
+    ) -> Result<PathBuf, ScenarioError> {
         let dir = std::env::var("DAGFL_RESULTS")
             .map(PathBuf::from)
             .unwrap_or_else(|_| PathBuf::from("results"));
         let path = dir.join(format!("{name}.csv"));
         let (header, rows): (Vec<&str>, Vec<Vec<String>>) = if report.mode == "async" {
-            let m = report
-                .async_metrics
-                .as_ref()
-                .expect("async run has metrics");
             (
                 vec![
-                    "activations",
-                    "elapsed",
-                    "activation_rate",
-                    "publish_fraction",
-                    "mean_publish_latency",
-                    "stale_fraction",
-                    "mean_confirmation_depth",
-                    "pureness",
-                    "fresh_evals",
-                    "cached_evals",
-                    "delivered",
-                    "dropped",
-                    "duplicated",
+                    "activation",
+                    "started",
+                    "completed",
+                    "client",
+                    "accuracy",
+                    "published",
+                    "stale_parents",
                 ],
-                vec![vec![
-                    m.activations.to_string(),
-                    format!("{:.4}", m.elapsed),
-                    format!("{:.4}", m.activation_rate()),
-                    format!("{:.4}", m.publish_fraction()),
-                    format!("{:.4}", m.mean_publish_latency),
-                    format!("{:.4}", m.stale_fraction()),
-                    format!("{:.4}", m.mean_confirmation_depth),
-                    format!("{:.4}", report.specialization.approval_pureness),
-                    m.fresh_evaluations.to_string(),
-                    m.cached_evaluations.to_string(),
-                    m.delivered.to_string(),
-                    m.dropped.to_string(),
-                    m.duplicated.to_string(),
-                ]],
+                activations
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| {
+                        vec![
+                            (i + 1).to_string(),
+                            format!("{:.2}", r.started),
+                            format!("{:.2}", r.completed),
+                            r.client.to_string(),
+                            format!("{:.4}", r.accuracy),
+                            r.published.to_string(),
+                            r.stale_parents.to_string(),
+                        ]
+                    })
+                    .collect(),
             )
         } else {
             // The analysis column group exists only for analysis-enabled
@@ -744,6 +744,40 @@ mod tests {
         assert_eq!(metrics.activations, 6);
         assert!(report.round_accuracy.is_empty());
         assert!(report.summary().contains("async"));
+    }
+
+    #[test]
+    fn async_csv_is_the_per_activation_series() {
+        let scenario = tiny()
+            .asynchronous(AsyncConfig {
+                dag: DagConfig {
+                    local_batches: 2,
+                    ..DagConfig::default()
+                },
+                total_activations: 6,
+                delay: DelayModel::constant(1.0),
+                ..AsyncConfig::default()
+            })
+            .with_csv("runner_async_series_test");
+        let report = ScenarioRunner::new(scenario).unwrap().run().unwrap();
+        let path = report.csv_path.clone().expect("csv written");
+        let content = std::fs::read_to_string(&path).unwrap();
+        let mut lines = content.lines();
+        assert_eq!(
+            lines.next(),
+            Some("activation,started,completed,client,accuracy,published,stale_parents")
+        );
+        let rows: Vec<&str> = lines.collect();
+        assert_eq!(rows.len(), 6);
+        for (i, row) in rows.iter().enumerate() {
+            let cells: Vec<&str> = row.split(',').collect();
+            assert_eq!(cells.len(), 7, "{row}");
+            assert_eq!(cells[0], (i + 1).to_string());
+            assert!(matches!(cells[5], "true" | "false"), "{row}");
+        }
+        assert!(report.summary().contains("series written to"));
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir(path.parent().expect("results dir"));
     }
 
     #[test]

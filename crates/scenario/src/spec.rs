@@ -1290,8 +1290,13 @@ impl Scenario {
                 },
                 Err(e) => return Err(e),
                 Ok(scenario) => {
-                    scenario.validate()?;
-                    return Ok(scenario);
+                    return match scenario.validate() {
+                        Ok(()) => Ok(scenario),
+                        // Name the keys that were set, unless the
+                        // scenario was invalid before them.
+                        Err(e) if self.validate().is_ok() => Err(after_setting(e, &paths)),
+                        Err(e) => Err(e),
+                    };
                 }
             }
         }
@@ -1335,6 +1340,19 @@ impl Scenario {
         std::fs::write(path, self.to_toml())
             .map_err(|e| ScenarioError::Io(format!("writing {}: {e}", path.display())))
     }
+}
+
+/// A validation failure caused by overrides, naming the key paths that
+/// were set (the core range checks name their own field, e.g.
+/// `total_activations` for `execution.activations`).
+fn after_setting(err: ScenarioError, paths: &[String]) -> ScenarioError {
+    let reason = match err {
+        ScenarioError::Core(e) => e.to_string(),
+        ScenarioError::Invalid(msg) => msg,
+        other => other.to_string(),
+    };
+    let paths: Vec<String> = paths.iter().map(|p| format!("`{p}`")).collect();
+    ScenarioError::Invalid(format!("{reason} (after setting {})", paths.join(", ")))
 }
 
 /// Resolves an override key against a scenario document: a dotted path
@@ -1691,7 +1709,9 @@ impl<'a> Reader<'a> {
                 Value::Str(s) => s.clone(),
                 Value::Number(n) => n.clone(),
                 Value::Bool(b) => b.to_string(),
-                Value::NumberList(items) => format!("[{}]", items.join(", ")),
+                Value::NumberList(items) | Value::StrList(items) => {
+                    format!("[{}]", items.join(", "))
+                }
                 Value::Range(start, end) => format!("{start}..{end}"),
             },
             expected: expected.to_string(),
@@ -2883,10 +2903,20 @@ mod tests {
             smoke.with_override("model.hidden", "[16, x]"),
             Err(ScenarioError::InvalidValue { ref key, .. }) if key == "model.hidden"
         ));
-        // Out-of-range values fail validation.
-        assert!(smoke
-            .with_override("execution.learning_rate", "-1")
-            .is_err());
+        // Out-of-range values fail validation, naming the key path as
+        // set (the bare key resolves to its section).
+        for (key, path) in [
+            ("execution.learning_rate", "execution.learning_rate"),
+            ("local_batches", "execution.local_batches"),
+        ] {
+            let err = smoke.with_override(key, "-1").unwrap_err().to_string();
+            assert!(err.contains(&format!("`{path}`")), "{err}");
+        }
+        let err = smoke
+            .with_override("execution.local_batches", "0")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("`execution.local_batches`"), "{err}");
         // Bare words are strings, so switching variants works; keys the
         // switch makes inapplicable (alpha, normalization) are dropped.
         let random = smoke.with_override("selector", "random").unwrap();

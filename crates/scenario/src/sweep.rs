@@ -411,7 +411,19 @@ impl SweepSpec {
         {
             let axes = doc.section_mut("axes");
             for axis in &self.axes {
-                axes.set(&axis.field, Value::NumberList(axis.values.clone()));
+                let numeric = axis
+                    .values
+                    .iter()
+                    .all(|v| v.parse::<f64>().is_ok_and(f64::is_finite));
+                let values = axis.values.clone();
+                axes.set(
+                    &axis.field,
+                    if numeric {
+                        Value::NumberList(values)
+                    } else {
+                        Value::StrList(values)
+                    },
+                );
             }
         }
         doc.to_text()
@@ -497,7 +509,7 @@ impl SweepSpec {
         let mut axes = Vec::new();
         for (key, value) in axes_table.iter() {
             let values = match value {
-                Value::NumberList(items) => items.clone(),
+                Value::NumberList(items) | Value::StrList(items) => items.clone(),
                 Value::Range(start, end) => SweepAxis::range_tokens(
                     key,
                     start.parse::<u64>().expect("parser checked"),
@@ -507,7 +519,7 @@ impl SweepSpec {
                     return Err(Reader::new("axes", None).invalid(
                         key,
                         other,
-                        "an array of numbers or an integer range",
+                        "an array of numbers or strings, or an integer range",
                     ))
                 }
             };
@@ -1217,6 +1229,10 @@ mod tests {
                 .with_comparison_csv("cmp")
                 .with_cell_csv(true),
             SweepSpec::over_file("over-file", "scenarios/smoke.toml").axis("alpha", ["1"]),
+            // String-valued axes are written as quoted arrays.
+            SweepSpec::over_preset("string-axis", "smoke")
+                .axis("selector", ["random", "accuracy"])
+                .axis("execution.parallel", ["true", "false"]),
             // An inline base keeps its [faults] section.
             SweepSpec::over_scenario(
                 "inline-faults",
@@ -1230,6 +1246,22 @@ mod tests {
                 .unwrap_or_else(|e| panic!("reparsing `{}` failed: {e}\n{text}", spec.name));
             assert_eq!(spec, reparsed, "{text}");
         }
+    }
+
+    #[test]
+    fn toml_string_axes_expand_like_flag_axes() {
+        let spec = SweepSpec::from_toml(
+            "name = \"s\"\n[sweep]\npreset = \"smoke\"\n[axes]\nselector = [\"random\", \"accuracy\"]\n",
+        )
+        .unwrap();
+        let cells = spec.expand_at(Scale::Quick).unwrap();
+        let selectors: Vec<_> = cells
+            .iter()
+            .map(|c| c.scenario.execution.dag().tip_selector)
+            .collect();
+        assert_eq!(selectors[0], TipSelector::Random);
+        assert!(matches!(selectors[1], TipSelector::Accuracy { .. }));
+        assert_eq!(cells[0].id, "selector=random");
     }
 
     #[test]

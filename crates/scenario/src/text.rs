@@ -8,8 +8,9 @@
 //! * `key = value` pairs, optionally grouped under `[section]` headers
 //!   (one level, no nested or array-of-table sections),
 //! * values: double-quoted strings (with `\"`, `\\`, `\n`, `\t`
-//!   escapes), booleans, decimal numbers, flat arrays of numbers, and
-//!   half-open integer ranges (`0..5`, used by sweep axes),
+//!   escapes), booleans, decimal numbers, flat arrays of numbers or of
+//!   strings (no commas inside the strings), and half-open integer
+//!   ranges (`0..5`, used by sweep axes),
 //! * `#` comments (whole-line or trailing) and blank lines.
 //!
 //! Numbers are kept as their raw tokens and parsed on demand, so an
@@ -46,6 +47,9 @@ pub enum Value {
     Bool(bool),
     /// A flat array of numeric tokens.
     NumberList(Vec<String>),
+    /// A flat array of double-quoted strings, unescaped (string-valued
+    /// sweep axes: `selector = ["random", "accuracy"]`).
+    StrList(Vec<String>),
     /// A half-open integer range `start..end` (`end` exclusive), kept as
     /// raw tokens. Sweep axes use this for replicate grids (`seed = 0..5`).
     Range(String, String),
@@ -250,13 +254,30 @@ fn parse_value(token: &str, line: usize) -> Result<Value, TextError> {
             message: format!("unterminated array `{token}`"),
         })?;
         let body = body.trim();
-        let mut items = Vec::new();
-        if !body.is_empty() {
-            for item in body.split(',') {
-                items.push(number_token(item.trim(), line)?);
-            }
+        let items: Vec<&str> = if body.is_empty() {
+            Vec::new()
+        } else {
+            body.split(',').map(str::trim).collect()
+        };
+        // The first item decides the element type; mixed arrays fail.
+        if items.first().is_some_and(|item| item.starts_with('"')) {
+            return items
+                .into_iter()
+                .map(|item| match parse_value(item, line)? {
+                    Value::Str(s) => Ok(s),
+                    _ => Err(TextError {
+                        line,
+                        message: format!("`{item}` in a string array is not a quoted string"),
+                    }),
+                })
+                .collect::<Result<_, _>>()
+                .map(Value::StrList);
         }
-        return Ok(Value::NumberList(items));
+        return items
+            .into_iter()
+            .map(|item| number_token(item, line))
+            .collect::<Result<_, _>>()
+            .map(Value::NumberList);
     }
     if let Some((start, end)) = token.split_once("..") {
         let (start, end) = (start.trim(), end.trim());
@@ -337,6 +358,10 @@ fn format_value(value: &Value) -> String {
         Value::Number(n) => n.clone(),
         Value::Bool(b) => b.to_string(),
         Value::NumberList(items) => format!("[{}]", items.join(", ")),
+        Value::StrList(items) => {
+            let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
+            format!("[{}]", quoted.join(", "))
+        }
         Value::Range(start, end) => format!("{start}..{end}"),
     }
 }
@@ -387,8 +412,21 @@ mod tests {
     }
 
     #[test]
+    fn string_arrays_parse_and_mixed_arrays_fail() {
+        let doc = Document::parse("words = [\"random\", \"a \\\"b\\\"\"]\nnone = []\n").unwrap();
+        assert_eq!(
+            doc.root.get("words"),
+            Some(&Value::StrList(vec!["random".into(), "a \"b\"".into()]))
+        );
+        assert_eq!(doc.root.get("none"), Some(&Value::NumberList(Vec::new())));
+        for input in ["x = [\"a\", 1]", "x = [1, \"a\"]", "x = [\"open]"] {
+            assert!(Document::parse(input).is_err(), "{input}");
+        }
+    }
+
+    #[test]
     fn round_trips_through_text() {
-        let input = "name = \"a b # c\"\n\n[x]\nk = 1.5\nflag = false\nlist = [1, 2]\n";
+        let input = "name = \"a b # c\"\n\n[x]\nk = 1.5\nflag = false\nlist = [1, 2]\nwords = [\"x\", \"y\"]\n";
         let doc = Document::parse(input).unwrap();
         assert_eq!(doc.to_text(), input);
         assert_eq!(Document::parse(&doc.to_text()).unwrap(), doc);

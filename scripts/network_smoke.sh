@@ -30,8 +30,8 @@ cleanup() {
 trap cleanup EXIT
 
 peer_flags=(
+    --preset smoke
     --peers 3 --tracker "$TRACKER"
-    --clients 3 --samples 30
 )
 if [ "$CHAOS" = "1" ]; then
     # A longer session (so there is a mid-session to crash into) and
